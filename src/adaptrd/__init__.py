@@ -46,19 +46,19 @@ from .errors import (
     ValidationError,
 )
 from .estimator import (
+    ArmPredictions,
     EffectEstimate,
     EstimatorConfig,
     FittedOutcomeSurface,
     aipw_ate,
+    arm_predictions,
     default_grid,
-    delta_method_se,
     effect_curve,
     estimate_effect,
     fit_outcome_surface,
     ipw_ate,
     naive_diff,
     outcome_regression_ate,
-    predict_arm_means,
 )
 from .harness import (
     ReplicationReport,

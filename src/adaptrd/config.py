@@ -1,4 +1,5 @@
-"""Strict JSON scenario configuration: parsing, overrides and presets.
+"""Scenario configuration: the validated config type, strict JSON parsing,
+overrides and presets.
 
 Unknown keys are rejected everywhere so a typo'd field can never silently
 fall back to a default. Dotted-key overrides (``threshold_strategy.nnt=4``)
@@ -8,8 +9,10 @@ are applied to the raw JSON document before parsing.
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import Optional, Union
 
 from .adaptation import (
     FixedThreshold,
@@ -22,13 +25,80 @@ from .adaptation import (
 from .cohort import SyntheticCohortParams, TruncatedNormal
 from .errors import ConfigError
 from .estimator import EstimatorConfig
-from .harness import ScenarioConfig
+from .numerics import GAUSSIAN, LOGIT
 from .outcomes import (
+    BINARY,
     AscvdParams,
     AttendanceParams,
     CholesterolParams,
     OutcomeModel,
 )
+
+ThresholdStrategy = Union[FixedThreshold, RateTargetThreshold, NntTargetThreshold]
+ModelStrategy = Union[NoModelUpdate, RecalibrateModel, ReviseModel]
+
+# Per-scenario canonical (outcome variant, threshold kind, model kind, family).
+# The degenerate strategies (fixed threshold, no model update) are always
+# admissible so no-adaptation baselines of any scenario can be run.
+_SCENARIO_SHAPES = {
+    1: ("attendance", RateTargetThreshold, NoModelUpdate, LOGIT),
+    2: ("cholesterol", RateTargetThreshold, NoModelUpdate, GAUSSIAN),
+    3: ("cholesterol", NntTargetThreshold, NoModelUpdate, GAUSSIAN),
+    4: ("ascvd", FixedThreshold, RecalibrateModel, LOGIT),
+    5: ("ascvd", FixedThreshold, ReviseModel, LOGIT),
+}
+
+
+@dataclass(frozen=True)
+class ScenarioConfig:
+    scenario_id: int
+    outcome: OutcomeModel
+    threshold_strategy: ThresholdStrategy
+    model_strategy: ModelStrategy
+    estimator: EstimatorConfig
+    n_patients: int = 3000
+    warmup: int = 400
+    update_every: int = 100
+    initial_threshold: float = 0.10
+    seed: int = 0
+    cohort_params: SyntheticCohortParams = field(default_factory=SyntheticCohortParams)
+    cohort_csv: Optional[str] = None
+    coefficients_file: Optional[str] = None
+
+    def __post_init__(self):
+        if self.scenario_id not in _SCENARIO_SHAPES:
+            raise ConfigError(f"scenario id must be 1..5, got {self.scenario_id}")
+        if not 1 <= self.warmup < self.n_patients:
+            raise ConfigError("need 1 <= warmup < n_patients")
+        if self.update_every < 1:
+            raise ConfigError("update_every must be >= 1")
+        if not 0.0 < self.initial_threshold < 1.0:
+            raise ConfigError("initial threshold must lie in (0, 1)")
+        variant, thr_kind, model_kind, family = _SCENARIO_SHAPES[self.scenario_id]
+        if self.outcome.variant != variant:
+            raise ConfigError(
+                f"scenario {self.scenario_id} requires the {variant} outcome, "
+                f"got {self.outcome.variant}"
+            )
+        if not isinstance(self.threshold_strategy, (thr_kind, FixedThreshold)):
+            raise ConfigError(
+                f"scenario {self.scenario_id} requires threshold strategy "
+                f"{thr_kind.__name__} (or a fixed threshold)"
+            )
+        if not isinstance(self.model_strategy, (model_kind, NoModelUpdate)):
+            raise ConfigError(
+                f"scenario {self.scenario_id} requires model strategy "
+                f"{model_kind.__name__} (or no model updates)"
+            )
+        if self.outcome.kind == BINARY and self.estimator.family == GAUSSIAN:
+            raise ConfigError("binary outcomes need a bernoulli GLM family")
+        if self.outcome.kind != BINARY and self.estimator.family != GAUSSIAN:
+            raise ConfigError("continuous outcomes need the gaussian family")
+        if family != self.estimator.family:
+            raise ConfigError(
+                f"scenario {self.scenario_id} uses the {family} family"
+            )
+
 
 PRESET_NAMES = tuple(f"scenario{i}" for i in range(1, 6))
 
@@ -289,8 +359,13 @@ def load_config_payload(name_or_path: str) -> dict:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     stem = path.name.removesuffix(".json")
     if stem in PRESET_NAMES:
-        blob = resources.files("adaptrd").joinpath(f"presets/{stem}.json").read_text()
-        return json.loads(blob)
+        return preset_payload(stem)
     raise ConfigError(
         f"config not found: {name_or_path} (bundled presets: {', '.join(PRESET_NAMES)})"
     )
+
+
+def preset_payload(name: str) -> dict:
+    """The bundled preset document ``name`` (one of PRESET_NAMES)."""
+    blob = resources.files("adaptrd").joinpath(f"presets/{name}.json").read_text()
+    return json.loads(blob)

@@ -19,8 +19,7 @@ benchmarking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,8 +96,6 @@ class FittedOutcomeSurface:
     """Fitted GLM plus every piece of metadata needed to replay its design."""
 
     fit: GlmFit
-    family: str
-    config: EstimatorConfig
     basis_untreated: SplineBasis
     basis_treated: SplineBasis
     resid_intercepts: np.ndarray  # per non-focal distinct column
@@ -107,50 +104,55 @@ class FittedOutcomeSurface:
     pca_result: PcaResult
     focal_column: int
     treatments: np.ndarray
-    _design_cache: dict = field(default_factory=dict, repr=False)
 
-    def pc_scores(self, matrix: CounterfactualRiskMatrix) -> np.ndarray:
-        """Retained-component scores of the residualized non-focal columns."""
-        focal = matrix.shifted[:, self.focal_column]
-        if not self.nonfocal_columns:
-            return np.empty((matrix.n_patients, 0))
+
+@dataclass(frozen=True)
+class ArmPredictions:
+    """Both arms' designs, means and link derivatives for every patient."""
+
+    focal: np.ndarray
+    X0: np.ndarray
+    X1: np.ndarray
+    mu0: np.ndarray
+    mu1: np.ndarray
+    d0: np.ndarray
+    d1: np.ndarray
+
+
+def arm_predictions(
+    surface: FittedOutcomeSurface, matrix: CounterfactualRiskMatrix
+) -> ArmPredictions:
+    """Evaluate the surface on ``matrix`` with every patient forced to each arm."""
+    if matrix.n_distinct <= max((*surface.nonfocal_columns, surface.focal_column)):
+        raise ValidationError("matrix does not match the surface's version structure")
+    n = matrix.n_patients
+    focal = matrix.shifted[:, surface.focal_column]
+    if surface.nonfocal_columns:
         resid = np.column_stack(
             [
-                matrix.shifted[:, d] - (self.resid_intercepts[i] + self.resid_slopes[i] * focal)
-                for i, d in enumerate(self.nonfocal_columns)
+                matrix.shifted[:, d]
+                - (surface.resid_intercepts[i] + surface.resid_slopes[i] * focal)
+                for i, d in enumerate(surface.nonfocal_columns)
             ]
         )
-        return self.pca_result.transform(resid)
-
-    def design_for_arm(self, matrix: CounterfactualRiskMatrix, arm: int) -> np.ndarray:
-        """Design matrix with every patient's treatment column forced to ``arm``."""
-        key = (id(matrix), arm)
-        if key not in self._design_cache:
-            focal = matrix.shifted[:, self.focal_column]
-            scores = self._scores_cached(matrix)
-            arm_flags = np.full(matrix.n_patients, float(arm))
-            self._design_cache[key] = _build_design(
-                focal, arm_flags, self.basis_untreated, self.basis_treated, scores
-            )
-        return self._design_cache[key]
-
-    def _scores_cached(self, matrix: CounterfactualRiskMatrix) -> np.ndarray:
-        key = (id(matrix), "scores")
-        if key not in self._design_cache:
-            self._design_cache[key] = self.pc_scores(matrix)
-        return self._design_cache[key]
-
-    def arm_means(self, matrix: CounterfactualRiskMatrix) -> tuple[np.ndarray, np.ndarray]:
-        """(mu0, mu1) predicted potential-outcome means for every patient."""
-        key = (id(matrix), "means")
-        if key not in self._design_cache:
-            eta0 = self.design_for_arm(matrix, 0) @ self.fit.theta
-            eta1 = self.design_for_arm(matrix, 1) @ self.fit.theta
-            self._design_cache[key] = (
-                inverse_link(eta0, self.family),
-                inverse_link(eta1, self.family),
-            )
-        return self._design_cache[key]
+        scores = surface.pca_result.transform(resid)
+    else:
+        scores = np.empty((n, 0))
+    bases = (surface.basis_untreated, surface.basis_treated)
+    X0 = _build_design(focal, np.zeros(n), *bases, scores)
+    X1 = _build_design(focal, np.ones(n), *bases, scores)
+    family = surface.fit.family
+    eta0 = X0 @ surface.fit.theta
+    eta1 = X1 @ surface.fit.theta
+    return ArmPredictions(
+        focal=focal,
+        X0=X0,
+        X1=X1,
+        mu0=inverse_link(eta0, family),
+        mu1=inverse_link(eta1, family),
+        d0=inverse_link_deriv(eta0, family),
+        d1=inverse_link_deriv(eta1, family),
+    )
 
 
 def _build_design(focal, arm_flags, basis0, basis1, scores) -> np.ndarray:
@@ -218,8 +220,6 @@ def fit_outcome_surface(
     fit = fit_glm(GlmSpec(family=config.family, design=design, response=outcomes))
     return FittedOutcomeSurface(
         fit=fit,
-        family=config.family,
-        config=config,
         basis_untreated=basis0,
         basis_treated=basis1,
         resid_intercepts=intercepts,
@@ -231,47 +231,43 @@ def fit_outcome_surface(
     )
 
 
-def predict_arm_means(
-    surface: FittedOutcomeSurface, matrix: CounterfactualRiskMatrix, k: int
-) -> tuple[float, float]:
-    """(mu0, mu1) for patient k (1-based row of the matrix)."""
-    if matrix.n_distinct <= max((*surface.nonfocal_columns, surface.focal_column)):
-        raise ValidationError("matrix does not match the surface's version structure")
-    mu0, mu1 = surface.arm_means(matrix)
-    return float(mu0[k - 1]), float(mu1[k - 1])
-
-
-def _effect_gradient(
-    surface: FittedOutcomeSurface, matrix: CounterfactualRiskMatrix, weights: np.ndarray
-) -> np.ndarray:
-    """Gradient in theta of the kernel-weighted effect functional."""
-    X0 = surface.design_for_arm(matrix, 0)
-    X1 = surface.design_for_arm(matrix, 1)
-    d1 = inverse_link_deriv(X1 @ surface.fit.theta, surface.family)
-    d0 = inverse_link_deriv(X0 @ surface.fit.theta, surface.family)
-    return X1.T @ (weights * d1) - X0.T @ (weights * d0)
-
-
-def delta_method_se(
-    surface: FittedOutcomeSurface,
-    matrix: CounterfactualRiskMatrix,
-    r: float,
-    config: EstimatorConfig,
-) -> float:
-    """Standard error of the local effect via first-order propagation.
+def _effect_gradient(preds: ArmPredictions, weights: np.ndarray) -> np.ndarray:
+    """Gradient in theta of the kernel-weighted effect functional.
 
     The kernel weights are fixed functions of the logged risks, so the
     gradient chains only through the inverse link at each patient's two
     counterfactual design rows.
     """
-    weights = gaussian_kernel_weights(
-        matrix.shifted[:, surface.focal_column], r, config.bandwidth
-    )
-    grad = _effect_gradient(surface, matrix, weights)
+    return preds.X1.T @ (weights * preds.d1) - preds.X0.T @ (weights * preds.d0)
+
+
+def _effect_at(
+    surface: FittedOutcomeSurface, preds: ArmPredictions, r: float, config: EstimatorConfig
+) -> EffectEstimate:
+    """Kernel-weighted local effect at ``r`` with its delta-method SE and Wald CI."""
+    weights = gaussian_kernel_weights(preds.focal, r, config.bandwidth)
+    beta = float(weights @ (preds.mu1 - preds.mu0))
+    grad = _effect_gradient(preds, weights)
     quad = float(grad @ surface.fit.cov @ grad)
     if quad < -1e-10:
         raise ValidationError(f"covariance quadratic form is negative: {quad}")
-    return float(np.sqrt(max(quad, 0.0)))
+    se = float(np.sqrt(max(quad, 0.0)))
+    z = normal_quantile(0.5 + config.confidence / 2.0)
+    n = preds.focal.size
+    treated = surface.treatments == 1
+    eff_n1 = float(weights[treated].sum() * n)
+    eff_n0 = float(weights[~treated].sum() * n)
+    return EffectEstimate(
+        r=float(r),
+        beta_hat=beta,
+        se=se,
+        ci=(beta - z * se, beta + z * se),
+        mu1_hat=float(weights @ preds.mu1),
+        mu0_hat=float(weights @ preds.mu0),
+        eff_n_treated=eff_n1,
+        eff_n_untreated=eff_n0,
+        low_support=min(eff_n0, eff_n1) < config.min_effective,
+    )
 
 
 def estimate_effect(
@@ -281,33 +277,7 @@ def estimate_effect(
     config: EstimatorConfig,
 ) -> EffectEstimate:
     """Kernel-weighted local effect and arm means at shifted risk ``r``."""
-    focal = matrix.shifted[:, surface.focal_column]
-    weights = gaussian_kernel_weights(focal, r, config.bandwidth)
-    mu0, mu1 = surface.arm_means(matrix)
-    beta = float(weights @ (mu1 - mu0))
-    mu1_bar = float(weights @ mu1)
-    mu0_bar = float(weights @ mu0)
-    grad = _effect_gradient(surface, matrix, weights)
-    quad = float(grad @ surface.fit.cov @ grad)
-    if quad < -1e-10:
-        raise ValidationError(f"covariance quadratic form is negative: {quad}")
-    se = float(np.sqrt(max(quad, 0.0)))
-    z = normal_quantile(0.5 + config.confidence / 2.0)
-    n = matrix.n_patients
-    treated = surface.treatments == 1
-    eff_n1 = float(weights[treated].sum() * n)
-    eff_n0 = float(weights[~treated].sum() * n)
-    return EffectEstimate(
-        r=float(r),
-        beta_hat=beta,
-        se=se,
-        ci=(beta - z * se, beta + z * se),
-        mu1_hat=mu1_bar,
-        mu0_hat=mu0_bar,
-        eff_n_treated=eff_n1,
-        eff_n_untreated=eff_n0,
-        low_support=min(eff_n0, eff_n1) < config.min_effective,
-    )
+    return _effect_at(surface, arm_predictions(surface, matrix), r, config)
 
 
 @dataclass
@@ -323,11 +293,12 @@ def effect_curve(
     config: EstimatorConfig,
 ) -> EffectCurve:
     """Evaluate the effect across a grid; unsupported points are reported."""
+    preds = arm_predictions(surface, matrix)
     estimates = []
     skipped = []
     for r in np.asarray(grid, dtype=float):
         try:
-            estimates.append(estimate_effect(surface, matrix, float(r), config))
+            estimates.append(_effect_at(surface, preds, float(r), config))
         except EffectiveSupportError as exc:
             skipped.append((float(r), str(exc)))
     return EffectCurve(estimates=estimates, skipped=skipped)
@@ -388,6 +359,16 @@ def _comparator_checks(covariates, treatments, outcomes, focal_risks):
     return treatments, outcomes, focal_risks
 
 
+def _outcome_model_arm_means(covariates, treatments, outcomes, family):
+    """(m0, m1): one GLM of outcome on the predictors plus treatment, predicted per arm."""
+    base = _comparator_design(covariates)
+    design = np.column_stack([base, treatments.astype(float)])
+    fit = fit_glm(GlmSpec(family=family, design=design, response=outcomes))
+    m0 = inverse_link(np.column_stack([base, np.zeros(len(covariates))]) @ fit.theta, family)
+    m1 = inverse_link(np.column_stack([base, np.ones(len(covariates))]) @ fit.theta, family)
+    return m0, m1
+
+
 def outcome_regression_ate(
     covariates: CohortTable,
     treatments: np.ndarray,
@@ -400,14 +381,9 @@ def outcome_regression_ate(
     treatments, outcomes, focal_risks = _comparator_checks(
         covariates, treatments, outcomes, focal_risks
     )
-    base = _comparator_design(covariates)
-    design = np.column_stack([base, treatments.astype(float)])
-    fit = fit_glm(GlmSpec(family=config.family, design=design, response=outcomes))
-    eta1 = np.column_stack([base, np.ones(len(covariates))]) @ fit.theta
-    eta0 = np.column_stack([base, np.zeros(len(covariates))]) @ fit.theta
-    effects = inverse_link(eta1, config.family) - inverse_link(eta0, config.family)
+    m0, m1 = _outcome_model_arm_means(covariates, treatments, outcomes, config.family)
     weights = gaussian_kernel_weights(focal_risks, r, config.bandwidth)
-    return float(weights @ effects)
+    return float(weights @ (m1 - m0))
 
 
 PROPENSITY_CLIP = (0.01, 0.99)
@@ -451,11 +427,7 @@ def aipw_ate(
     treatments, outcomes, focal_risks = _comparator_checks(
         covariates, treatments, outcomes, focal_risks
     )
-    base = _comparator_design(covariates)
-    design = np.column_stack([base, treatments.astype(float)])
-    fit = fit_glm(GlmSpec(family=config.family, design=design, response=outcomes))
-    m1 = inverse_link(np.column_stack([base, np.ones(len(covariates))]) @ fit.theta, config.family)
-    m0 = inverse_link(np.column_stack([base, np.zeros(len(covariates))]) @ fit.theta, config.family)
+    m0, m1 = _outcome_model_arm_means(covariates, treatments, outcomes, config.family)
     e = _fitted_propensity(covariates, treatments)
     a = treatments.astype(float)
     influence = m1 - m0 + a * (outcomes - m1) / e - (1.0 - a) * (outcomes - m0) / (1.0 - e)

@@ -12,16 +12,15 @@ bias, MSE and interval coverage per estimator.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .adaptation import (
-    FixedThreshold,
     NntTargetThreshold,
-    NoModelUpdate,
     RateTargetThreshold,
     RecalibrateModel,
     ReviseModel,
@@ -33,10 +32,10 @@ from .adaptation import (
     threshold_for_nnt,
     threshold_for_rate,
 )
-from .cohort import CohortTable, SyntheticCohortParams, load_cohort_csv
+from .cohort import CohortTable, load_cohort_csv
+from .config import _SCENARIO_SHAPES, ScenarioConfig, parse_config, preset_payload
 from .errors import AdaptRdError, ConfigError
 from .estimator import (
-    EstimatorConfig,
     aipw_ate,
     default_grid,
     effect_curve,
@@ -46,11 +45,8 @@ from .estimator import (
     naive_diff,
     outcome_regression_ate,
 )
-from .numerics import GAUSSIAN, LOGIT
 from .outcomes import (
-    BINARY,
     ClampStats,
-    OutcomeModel,
     draw_noise,
     outcomes_from_noise,
     true_smoothed_ate,
@@ -67,72 +63,7 @@ from .risk_engine import (
 )
 from .seeds import SeedStream
 
-ThresholdStrategy = Union[FixedThreshold, RateTargetThreshold, NntTargetThreshold]
-ModelStrategy = Union[NoModelUpdate, RecalibrateModel, ReviseModel]
-
 METHODS = ("adaptive_rd", "naive", "outcome_regression", "ipw", "aipw")
-
-# Per-scenario canonical (outcome variant, threshold kind, model kind, family).
-# The degenerate strategies (fixed threshold, no model update) are always
-# admissible so no-adaptation baselines of any scenario can be run.
-_SCENARIO_SHAPES = {
-    1: ("attendance", RateTargetThreshold, NoModelUpdate, LOGIT),
-    2: ("cholesterol", RateTargetThreshold, NoModelUpdate, GAUSSIAN),
-    3: ("cholesterol", NntTargetThreshold, NoModelUpdate, GAUSSIAN),
-    4: ("ascvd", FixedThreshold, RecalibrateModel, LOGIT),
-    5: ("ascvd", FixedThreshold, ReviseModel, LOGIT),
-}
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    scenario_id: int
-    outcome: OutcomeModel
-    threshold_strategy: ThresholdStrategy
-    model_strategy: ModelStrategy
-    estimator: EstimatorConfig
-    n_patients: int = 3000
-    warmup: int = 400
-    update_every: int = 100
-    initial_threshold: float = 0.10
-    seed: int = 0
-    cohort_params: SyntheticCohortParams = field(default_factory=SyntheticCohortParams)
-    cohort_csv: Optional[str] = None
-    coefficients_file: Optional[str] = None
-
-    def __post_init__(self):
-        if self.scenario_id not in _SCENARIO_SHAPES:
-            raise ConfigError(f"scenario id must be 1..5, got {self.scenario_id}")
-        if not 1 <= self.warmup < self.n_patients:
-            raise ConfigError("need 1 <= warmup < n_patients")
-        if self.update_every < 1:
-            raise ConfigError("update_every must be >= 1")
-        if not 0.0 < self.initial_threshold < 1.0:
-            raise ConfigError("initial threshold must lie in (0, 1)")
-        variant, thr_kind, model_kind, family = _SCENARIO_SHAPES[self.scenario_id]
-        if self.outcome.variant != variant:
-            raise ConfigError(
-                f"scenario {self.scenario_id} requires the {variant} outcome, "
-                f"got {self.outcome.variant}"
-            )
-        if not isinstance(self.threshold_strategy, (thr_kind, FixedThreshold)):
-            raise ConfigError(
-                f"scenario {self.scenario_id} requires threshold strategy "
-                f"{thr_kind.__name__} (or a fixed threshold)"
-            )
-        if not isinstance(self.model_strategy, (model_kind, NoModelUpdate)):
-            raise ConfigError(
-                f"scenario {self.scenario_id} requires model strategy "
-                f"{model_kind.__name__} (or no model updates)"
-            )
-        if self.outcome.kind == BINARY and self.estimator.family == GAUSSIAN:
-            raise ConfigError("binary outcomes need a bernoulli GLM family")
-        if self.outcome.kind != BINARY and self.estimator.family != GAUSSIAN:
-            raise ConfigError("continuous outcomes need the gaussian family")
-        if family != self.estimator.family:
-            raise ConfigError(
-                f"scenario {self.scenario_id} uses the {family} family"
-            )
 
 
 @dataclass
@@ -142,20 +73,6 @@ class AdaptationEvent:
     old: float
     new: float
     detail: str = ""
-
-
-@dataclass(frozen=True)
-class PatientRecord:
-    """One patient's logged trial row."""
-
-    index: int
-    model_version: int
-    threshold: float
-    raw_risk: float
-    shifted_risk: float
-    treatment: int
-    outcome: float
-    baseline_risk: float
 
 
 @dataclass
@@ -181,20 +98,6 @@ class TrialData:
     @property
     def final_threshold(self) -> float:
         return float(self.threshold[-1])
-
-    def record(self, i: int) -> PatientRecord:
-        """Logged row for 1-based patient index i."""
-        k = i - 1
-        return PatientRecord(
-            index=i,
-            model_version=int(self.model_version[k]),
-            threshold=float(self.threshold[k]),
-            raw_risk=float(self.raw_risk[k]),
-            shifted_risk=float(self.shifted_risk[k]),
-            treatment=int(self.treatment[k]),
-            outcome=float(self.outcome[k]),
-            baseline_risk=float(self.baseline_risk[k]),
-        )
 
     def threshold_trajectory(self) -> list[tuple[int, float]]:
         """(index, new threshold) pairs, starting from the initial value."""
@@ -588,53 +491,18 @@ def run_replications(config: ScenarioConfig, count: int, workers: int = 1) -> Re
 
 
 def scenario_preset(scenario_id: int, seed: int = 0, **overrides) -> ScenarioConfig:
-    """Named preset configs matching the five benchmark scenarios."""
+    """The bundled ``presets/scenarioN.json`` config with ``seed`` and field overrides.
+
+    ``warmup`` and ``update_every`` also reach the strategy that carries them.
+    """
     if scenario_id not in _SCENARIO_SHAPES:
         raise ConfigError(f"scenario id must be 1..5, got {scenario_id}")
-    warmup = overrides.pop("warmup", 400)
-    update_every = overrides.pop("update_every", 100)
-    base = dict(
-        scenario_id=scenario_id,
-        n_patients=3000,
-        warmup=warmup,
-        update_every=update_every,
-        initial_threshold=0.10,
-        seed=seed,
-    )
-    if scenario_id == 1:
-        base.update(
-            outcome=OutcomeModel("attendance"),
-            threshold_strategy=RateTargetThreshold(0.30, warmup, update_every),
-            model_strategy=NoModelUpdate(),
-            estimator=EstimatorConfig(family=LOGIT),
-        )
-    elif scenario_id == 2:
-        base.update(
-            outcome=OutcomeModel("cholesterol"),
-            threshold_strategy=RateTargetThreshold(0.30, warmup, update_every),
-            model_strategy=NoModelUpdate(),
-            estimator=EstimatorConfig(family=GAUSSIAN),
-        )
-    elif scenario_id == 3:
-        base.update(
-            outcome=OutcomeModel("cholesterol"),
-            threshold_strategy=NntTargetThreshold(3.0, warmup, update_every, smoothing=0.5),
-            model_strategy=NoModelUpdate(),
-            estimator=EstimatorConfig(family=GAUSSIAN),
-        )
-    elif scenario_id == 4:
-        base.update(
-            outcome=OutcomeModel("ascvd"),
-            threshold_strategy=FixedThreshold(0.10),
-            model_strategy=RecalibrateModel(warmup, update_every),
-            estimator=EstimatorConfig(family=LOGIT),
-        )
-    else:
-        base.update(
-            outcome=OutcomeModel("ascvd"),
-            threshold_strategy=FixedThreshold(0.10),
-            model_strategy=ReviseModel(warmup, update_every),
-            estimator=EstimatorConfig(family=LOGIT),
-        )
-    base.update(overrides)
-    return ScenarioConfig(**base)
+    payload = preset_payload(f"scenario{scenario_id}")
+    payload["seed"] = seed
+    for key in ("warmup", "update_every"):
+        if key in overrides:
+            payload[key] = overrides.pop(key)
+            for section in (payload["threshold_strategy"], payload["model_strategy"]):
+                if key in section:
+                    section[key] = payload[key]
+    return dataclasses.replace(parse_config(payload), **overrides)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .cohort import CohortTable
-from .errors import ConfigError, IngestionError
+from .errors import IngestionError
 from .estimator import EffectCurve
 from .harness import AdaptationEvent, TrialData
 
@@ -218,13 +218,3 @@ def write_json(payload: dict, path) -> None:
     path = Path(path)
     text = json.dumps(_plain(payload), sort_keys=True, indent=2)
     path.write_text(text + "\n", encoding="utf-8")
-
-
-def read_json(path) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"file not found: {path}")
-    try:
-        return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc

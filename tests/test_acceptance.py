@@ -15,6 +15,8 @@ import pytest
 from adaptrd.adaptation import FixedThreshold, NoModelUpdate, nnt_to_cohens_d, shrink_weight
 from adaptrd.estimator import (
     EstimatorConfig,
+    _effect_gradient,
+    arm_predictions,
     default_grid,
     effect_curve,
     estimate_effect,
@@ -147,11 +149,9 @@ def test_criterion_05_numerics_oracles():
     trial = run_scenario(config)
     surface = fit_outcome_surface(trial.matrix, trial.treatment, trial.outcome, config.estimator)
     w = gaussian_kernel_weights(trial.matrix.focal_shifted, 0.0, 0.02)
-    from adaptrd.estimator import _effect_gradient
-
-    grad = _effect_gradient(surface, trial.matrix, w)
-    X0 = surface.design_for_arm(trial.matrix, 0)
-    X1 = surface.design_for_arm(trial.matrix, 1)
+    preds = arm_predictions(surface, trial.matrix)
+    grad = _effect_gradient(preds, w)
+    X0, X1 = preds.X0, preds.X1
 
     def functional(theta):
         return float(w @ (inverse_link(X1 @ theta, GAUSSIAN) - inverse_link(X0 @ theta, GAUSSIAN)))

@@ -8,19 +8,20 @@ from adaptrd.errors import (
     DegenerateSupportError,
     EffectiveSupportError,
     InsufficientDataError,
+    ValidationError,
 )
 from adaptrd.estimator import (
     EstimatorConfig,
+    _effect_gradient,
     aipw_ate,
+    arm_predictions,
     default_grid,
-    delta_method_se,
     effect_curve,
     estimate_effect,
     fit_outcome_surface,
     ipw_ate,
     naive_diff,
     outcome_regression_ate,
-    predict_arm_means,
 )
 from adaptrd.numerics import (
     CLOGLOG,
@@ -93,7 +94,8 @@ class TestFitSurface:
     def test_exact_fit_for_linear_gaussian_outcomes(self):
         matrix, treatments, outcomes = simulated_static_trial(sigma=0.0)
         surface = fit_outcome_surface(matrix, treatments, outcomes, EstimatorConfig())
-        mu0, mu1 = surface.arm_means(matrix)
+        preds = arm_predictions(surface, matrix)
+        mu0, mu1 = preds.mu0, preds.mu1
         fitted = np.where(treatments == 1, mu1, mu0)
         assert np.max(np.abs(fitted - outcomes)) < 1e-6
 
@@ -132,7 +134,8 @@ class TestPredictArmMeans:
         matrix, treatments, _ = simulated_static_trial(n=300)
         outcomes = 2.0 + 3.0 * treatments + 0.0 * matrix.focal_shifted
         surface = fit_outcome_surface(matrix, treatments, outcomes, EstimatorConfig())
-        mu0, mu1 = predict_arm_means(surface, matrix, 17)
+        preds = arm_predictions(surface, matrix)
+        mu0, mu1 = float(preds.mu0[16]), float(preds.mu1[16])
         assert mu0 == pytest.approx(2.0, abs=1e-6)
         assert mu1 == pytest.approx(5.0, abs=1e-6)
 
@@ -143,8 +146,8 @@ class TestPredictArmMeans:
             matrix, treatments, outcomes, EstimatorConfig(family=LOGIT)
         )
         surface.fit.theta[:] = 0.0
-        surface._design_cache.clear()
-        mu0, mu1 = predict_arm_means(surface, matrix, 1)
+        preds = arm_predictions(surface, matrix)
+        mu0, mu1 = float(preds.mu0[0]), float(preds.mu1[0])
         assert (mu0, mu1) == (0.5, 0.5)
 
     def test_treated_patient_observed_arm_matches_fitted_mean(self):
@@ -152,7 +155,7 @@ class TestPredictArmMeans:
         config = EstimatorConfig()
         surface = fit_outcome_surface(matrix, treatments, outcomes, config)
         k = int(np.argmax(treatments == 1)) + 1
-        _, mu1 = predict_arm_means(surface, matrix, k)
+        mu1 = float(arm_predictions(surface, matrix).mu1[k - 1])
         design_row = np.concatenate(
             [
                 [1.0],
@@ -238,18 +241,18 @@ class TestDeltaMethod:
         config = EstimatorConfig()
         surface = fit_outcome_surface(matrix, treatments, outcomes, config)
         w = gaussian_kernel_weights(matrix.focal_shifted, 0.0, config.bandwidth)
-        X0 = surface.design_for_arm(matrix, 0)
-        X1 = surface.design_for_arm(matrix, 1)
-        c = (X1 - X0).T @ w
+        preds = arm_predictions(surface, matrix)
+        c = (preds.X1 - preds.X0).T @ w
         expected = math.sqrt(float(c @ surface.fit.cov @ c))
-        assert delta_method_se(surface, matrix, 0.0, config) == pytest.approx(expected, rel=1e-12)
+        se = estimate_effect(surface, matrix, 0.0, config).se
+        assert se == pytest.approx(expected, rel=1e-12)
 
     def test_zero_covariance_gives_zero_se(self):
         matrix, treatments, outcomes = simulated_static_trial(n=300)
         config = EstimatorConfig()
         surface = fit_outcome_surface(matrix, treatments, outcomes, config)
         surface.fit.cov = np.zeros_like(surface.fit.cov)
-        assert delta_method_se(surface, matrix, 0.0, config) == 0.0
+        assert estimate_effect(surface, matrix, 0.0, config).se == 0.0
 
     @pytest.mark.parametrize("family", [GAUSSIAN, LOGIT, CLOGLOG])
     def test_gradient_matches_finite_differences(self, family):
@@ -262,17 +265,15 @@ class TestDeltaMethod:
         config = EstimatorConfig(family=family)
         surface = fit_outcome_surface(matrix, treatments, outcomes, config)
         w = gaussian_kernel_weights(matrix.focal_shifted, 0.0, config.bandwidth)
-        X0 = surface.design_for_arm(matrix, 0)
-        X1 = surface.design_for_arm(matrix, 1)
+        preds = arm_predictions(surface, matrix)
+        X0, X1 = preds.X0, preds.X1
 
         def functional(theta):
             return float(
                 w @ (inverse_link(X1 @ theta, family) - inverse_link(X0 @ theta, family))
             )
 
-        from adaptrd.estimator import _effect_gradient
-
-        grad = _effect_gradient(surface, matrix, w)
+        grad = _effect_gradient(preds, w)
         theta = surface.fit.theta
         eps = 1e-6
         scale = float(np.max(np.abs(grad)))
@@ -296,6 +297,13 @@ class TestEffectCurve:
         single = estimate_effect(surface, matrix, 0.0, config)
         assert len(curve.estimates) == 1
         assert curve.estimates[0].beta_hat == single.beta_hat
+        # a multi-point grid gives, field for field, the single-point answers
+        grid = np.array([-0.1, 0.0, 7.0, 0.15])
+        curve = effect_curve(surface, matrix, grid, config)
+        assert [r for r, _ in curve.skipped] == [7.0]
+        assert curve.estimates == [
+            estimate_effect(surface, matrix, r, config) for r in (-0.1, 0.0, 0.15)
+        ]
 
     def test_grid_order_invariance(self):
         matrix, treatments, outcomes = simulated_static_trial(n=300)
@@ -401,3 +409,26 @@ class TestComparators:
         outreg = outcome_regression_ate(table, treatments, y, focal, 0.0, config)
         assert aipw == pytest.approx(outreg, abs=0.15)
         assert aipw == pytest.approx(1.0, abs=0.2)
+
+
+# Last in the module: these draw from the shared generator, and placing them
+# here leaves every earlier test's data as it was.
+class TestMatrixInput:
+    def test_answer_follows_matrix_content_not_identity(self):
+        matrix, treatments, outcomes = simulated_static_trial(n=400)
+        config = EstimatorConfig()
+        surface = fit_outcome_surface(matrix, treatments, outcomes, config)
+        before = estimate_effect(surface, matrix, 0.0, config)
+        matrix.shifted = matrix.shifted * 0.5  # same object, new content
+        fresh = static_matrix(matrix.shifted[:, 0])
+        after = estimate_effect(surface, matrix, 0.0, config)
+        assert after == estimate_effect(surface, fresh, 0.0, config)
+        assert after.beta_hat != before.beta_hat
+
+    def test_matrix_with_fewer_columns_rejected(self):
+        table, matrix = two_column_matrix()
+        treatments = (matrix.focal_shifted >= 0).astype(int)
+        outcomes = rng.standard_normal(len(table))
+        surface = fit_outcome_surface(matrix, treatments, outcomes, EstimatorConfig())
+        with pytest.raises(ValidationError, match="version structure"):
+            arm_predictions(surface, static_matrix(matrix.focal_shifted))
