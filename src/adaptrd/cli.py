@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cohort import CSV_COLUMNS, load_cohort_csv
+from .cohort import CSV_COLUMNS, CohortTable, load_cohort_csv
 from .config import apply_overrides, load_config_payload, parse_config
 from .errors import AdaptRdError, ConfigError, IngestionError
 from .estimator import (
@@ -30,7 +30,7 @@ from .risk_engine import (
     export_matrix_csv,
     import_matrix_csv,
     original_pce_model,
-    predict_risk,
+    predict_risk_batch,
     subgroup_for,
 )
 from .trialio import (
@@ -157,12 +157,12 @@ def _cmd_estimate(args) -> int:
 
 def _cmd_risk(args) -> int:
     patients = load_cohort_csv(args.input)
-    model = original_pce_model()
+    risks = predict_risk_batch(original_pce_model(), CohortTable.from_patients(patients))
     out_path = Path(args.output)
     with out_path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(CSV_COLUMNS) + ["subgroup", "risk"])
-        for p in patients:
+        for p, risk in zip(patients, risks.tolist()):
             writer.writerow(
                 [
                     repr(float(p.age)),
@@ -175,7 +175,7 @@ def _cmd_risk(args) -> int:
                     int(p.diabetes),
                     int(p.bp_treated),
                     subgroup_for(p),
-                    repr(predict_risk(model, p)),
+                    repr(risk),
                 ]
             )
     return 0

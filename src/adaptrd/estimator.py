@@ -19,7 +19,8 @@ benchmarking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -115,6 +116,7 @@ class ArmPredictions:
     X1: np.ndarray
     mu0: np.ndarray
     mu1: np.ndarray
+    effect: np.ndarray  # mu1 - mu0
     d0: np.ndarray
     d1: np.ndarray
 
@@ -126,7 +128,8 @@ def arm_predictions(
     if matrix.n_distinct <= max((*surface.nonfocal_columns, surface.focal_column)):
         raise ValidationError("matrix does not match the surface's version structure")
     n = matrix.n_patients
-    focal = matrix.shifted[:, surface.focal_column]
+    # A copy, so a curve that computes its estimates later cannot see an edit of the matrix.
+    focal = np.array(matrix.shifted[:, surface.focal_column])
     if surface.nonfocal_columns:
         resid = np.column_stack(
             [
@@ -138,28 +141,33 @@ def arm_predictions(
         scores = surface.pca_result.transform(resid)
     else:
         scores = np.empty((n, 0))
-    bases = (surface.basis_untreated, surface.basis_treated)
-    X0 = _build_design(focal, np.zeros(n), *bases, scores)
-    X1 = _build_design(focal, np.ones(n), *bases, scores)
+    bases = (
+        natural_cubic_basis(focal, surface.basis_untreated),
+        natural_cubic_basis(focal, surface.basis_treated),
+    )
+    X0 = _build_design(np.zeros(n), *bases, scores)
+    X1 = _build_design(np.ones(n), *bases, scores)
     family = surface.fit.family
     eta0 = X0 @ surface.fit.theta
     eta1 = X1 @ surface.fit.theta
+    mu0 = inverse_link(eta0, family)
+    mu1 = inverse_link(eta1, family)
     return ArmPredictions(
         focal=focal,
         X0=X0,
         X1=X1,
-        mu0=inverse_link(eta0, family),
-        mu1=inverse_link(eta1, family),
+        mu0=mu0,
+        mu1=mu1,
+        effect=mu1 - mu0,
         d0=inverse_link_deriv(eta0, family),
         d1=inverse_link_deriv(eta1, family),
     )
 
 
-def _build_design(focal, arm_flags, basis0, basis1, scores) -> np.ndarray:
-    b0 = natural_cubic_basis(focal, basis0)
-    b1 = natural_cubic_basis(focal, basis1)
+def _build_design(arm_flags, b0, b1, scores) -> np.ndarray:
+    """Design rows from the per-arm spline bases evaluated at the focal risks."""
     cols = [
-        np.ones(focal.size),
+        np.ones(arm_flags.size),
         b0 * (1.0 - arm_flags)[:, None],
         arm_flags,
         b1 * arm_flags[:, None],
@@ -216,7 +224,8 @@ def fit_outcome_surface(
     basis0 = choose_knots(focal[treatments == 0], config.spline_df)
     basis1 = choose_knots(focal[treatments == 1], config.spline_df)
     scores = pca_result.transform(resid_matrix)
-    design = _build_design(focal, treatments.astype(float), basis0, basis1, scores)
+    bases = (natural_cubic_basis(focal, basis0), natural_cubic_basis(focal, basis1))
+    design = _build_design(treatments.astype(float), *bases, scores)
     fit = fit_glm(GlmSpec(family=config.family, design=design, response=outcomes))
     return FittedOutcomeSurface(
         fit=fit,
@@ -241,18 +250,28 @@ def _effect_gradient(preds: ArmPredictions, weights: np.ndarray) -> np.ndarray:
     return preds.X1.T @ (weights * preds.d1) - preds.X0.T @ (weights * preds.d0)
 
 
-def _effect_at(
-    surface: FittedOutcomeSurface, preds: ArmPredictions, r: float, config: EstimatorConfig
-) -> EffectEstimate:
-    """Kernel-weighted local effect at ``r`` with its delta-method SE and Wald CI."""
+def _kernel_beta(
+    preds: ArmPredictions, r: float, config: EstimatorConfig
+) -> tuple[np.ndarray, float]:
+    """Kernel weights at ``r`` and the weighted effect; raises when ``r`` has no support."""
     weights = gaussian_kernel_weights(preds.focal, r, config.bandwidth)
-    beta = float(weights @ (preds.mu1 - preds.mu0))
+    return weights, float(weights @ preds.effect)
+
+
+def _effect_at(
+    surface: FittedOutcomeSurface,
+    preds: ArmPredictions,
+    r: float,
+    config: EstimatorConfig,
+    z: float,
+) -> EffectEstimate:
+    """Kernel-weighted local effect at ``r`` with its delta-method SE and ``z``-Wald CI."""
+    weights, beta = _kernel_beta(preds, r, config)
     grad = _effect_gradient(preds, weights)
     quad = float(grad @ surface.fit.cov @ grad)
     if quad < -1e-10:
         raise ValidationError(f"covariance quadratic form is negative: {quad}")
     se = float(np.sqrt(max(quad, 0.0)))
-    z = normal_quantile(0.5 + config.confidence / 2.0)
     n = preds.focal.size
     treated = surface.treatments == 1
     eff_n1 = float(weights[treated].sum() * n)
@@ -277,13 +296,29 @@ def estimate_effect(
     config: EstimatorConfig,
 ) -> EffectEstimate:
     """Kernel-weighted local effect and arm means at shifted risk ``r``."""
-    return _effect_at(surface, arm_predictions(surface, matrix), r, config)
+    z = normal_quantile(0.5 + config.confidence / 2.0)
+    return _effect_at(surface, arm_predictions(surface, matrix), r, config, z)
 
 
-@dataclass
+@dataclass(eq=False)
 class EffectCurve:
-    estimates: list[EffectEstimate]
+    """The effect at every supported grid point; unsupported points are in ``skipped``.
+
+    ``r`` and ``beta`` are computed eagerly. The full estimates (SE, CI, arm
+    means, effective counts) are computed on the first read of ``estimates``.
+    """
+
+    r: np.ndarray
+    beta: np.ndarray
     skipped: list[tuple[float, str]]
+    surface: FittedOutcomeSurface = field(repr=False)
+    preds: ArmPredictions = field(repr=False)
+    config: EstimatorConfig = field(repr=False)
+
+    @functools.cached_property
+    def estimates(self) -> list[EffectEstimate]:
+        z = normal_quantile(0.5 + self.config.confidence / 2.0)
+        return [_effect_at(self.surface, self.preds, r, self.config, z) for r in self.r.tolist()]
 
 
 def effect_curve(
@@ -294,14 +329,24 @@ def effect_curve(
 ) -> EffectCurve:
     """Evaluate the effect across a grid; unsupported points are reported."""
     preds = arm_predictions(surface, matrix)
-    estimates = []
+    rs = []
+    betas = []
     skipped = []
-    for r in np.asarray(grid, dtype=float):
+    for r in np.asarray(grid, dtype=float).tolist():
         try:
-            estimates.append(_effect_at(surface, preds, float(r), config))
+            betas.append(_kernel_beta(preds, r, config)[1])
         except EffectiveSupportError as exc:
-            skipped.append((float(r), str(exc)))
-    return EffectCurve(estimates=estimates, skipped=skipped)
+            skipped.append((r, str(exc)))
+        else:
+            rs.append(r)
+    return EffectCurve(
+        r=np.asarray(rs, dtype=float),
+        beta=np.asarray(betas, dtype=float),
+        skipped=skipped,
+        surface=surface,
+        preds=preds,
+        config=config,
+    )
 
 
 def default_grid(focal_risks: np.ndarray, points: int = 101) -> np.ndarray:

@@ -190,8 +190,7 @@ def run_scenario(config: ScenarioConfig, stream: Optional[SeedStream] = None) ->
         )
         model_version[start:end] = current_model.version_id
         threshold[start:end] = current_threshold
-        for _ in range(start, end):
-            history.append(current_model, current_threshold)
+        history.append(current_model, current_threshold, end - start)
         m = end
         start = end
         if m >= n:
@@ -259,11 +258,14 @@ def _nnt_threshold(
     surface = fit_outcome_surface(matrix, treatment[:m], outcome[:m], config.estimator)
     grid = default_grid(matrix.focal_shifted, 101)
     curve = effect_curve(surface, matrix, grid, config.estimator)
-    if not curve.estimates:
+    if not curve.r.size:
         raise ConfigError("effect curve has no supported grid points")
     sd = pooled_outcome_sd(outcome[:m], treatment[:m])
     # Effect curve lives on the shifted scale; thresholds are raw risks.
-    beta_curve = [(e.r + current_threshold, e.beta_hat) for e in curve.estimates]
+    # Only beta is read, so the curve's SEs are never computed here.
+    beta_curve = [
+        (r + current_threshold, beta) for r, beta in zip(curve.r.tolist(), curve.beta.tolist())
+    ]
     d_curve = cohens_d_curve(beta_curve, sd)
     target_d = nnt_to_cohens_d(strategy.nnt)
     new = threshold_for_nnt(d_curve, target_d, current_threshold, strategy.smoothing)

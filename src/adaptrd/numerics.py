@@ -8,6 +8,7 @@ the standard normal CDF. Everything here is pure and reentrant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -441,18 +442,27 @@ def gaussian_kernel_weights(values: np.ndarray, center: float, bandwidth: float)
     value lies farther than 12 bandwidths from the center.
     """
     values = np.asarray(values, dtype=float)
-    if bandwidth <= 0 or not np.isfinite(bandwidth):
+    if bandwidth <= 0 or not math.isfinite(bandwidth):
         raise ValidationError("bandwidth must be positive and finite")
-    if not np.isfinite(center):
+    if not math.isfinite(center):
         raise NumericError("kernel center must be finite")
-    dist = np.abs(values - center)
-    if values.size == 0 or float(dist.min()) > KERNEL_SUPPORT_MULTIPLE * bandwidth:
+    w = np.abs(values - center)
+    nearest = float(w.min()) if values.size else math.inf
+    if nearest > KERNEL_SUPPORT_MULTIPLE * bandwidth:
         raise EffectiveSupportError(
             f"no values within {KERNEL_SUPPORT_MULTIPLE} bandwidths of r={center}"
         )
-    expo = -0.5 * (dist / bandwidth) ** 2
-    w = np.exp(expo - expo.max())
-    return w / w.sum()
+    # In place on one buffer, since this runs at every grid point of every
+    # effect curve. Each step is monotone in the distance, so the largest
+    # exponent is the nearest value's, computed by the same operations.
+    w /= bandwidth
+    w *= w
+    w *= -0.5
+    scaled = nearest / bandwidth
+    w -= -0.5 * (scaled * scaled)
+    np.exp(w, out=w)
+    w /= w.sum()
+    return w
 
 
 def normal_cdf(x):

@@ -9,6 +9,7 @@ patient would have received under each earlier model/threshold pair.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import math
@@ -287,44 +288,65 @@ def assign_treatment(shifted_risk: float) -> int:
 
 
 class ModelHistory:
-    """The (model, threshold) pair in force for each patient index 1..i."""
+    """The (model, threshold) pair in force for each patient index 1..i.
+
+    Stored as run-length segments: consecutive patients under the same pair
+    share one ``[model list index, threshold, count]`` entry.
+    """
 
     def __init__(self):
         self.models: list[RiskModelVersion] = []
-        self._version_index: list[int] = []
-        self._thresholds: list[float] = []
+        self._segments: list[list] = []  # [model list index, threshold, count]
+        self._ends: list[int] = []  # last patient index (1-based) of each segment
 
     def __len__(self) -> int:
-        return len(self._version_index)
+        return self._ends[-1] if self._ends else 0
 
-    def append(self, model: RiskModelVersion, threshold: float) -> None:
+    def append(self, model: RiskModelVersion, threshold: float, count: int = 1) -> None:
+        """Record ``count`` consecutive patients under (model, threshold)."""
+        if count < 1:
+            raise ValidationError("count must be >= 1")
         if not 0.0 < threshold < 1.0:
             raise ValidationError("threshold must lie in (0, 1)")
         if not self.models or self.models[-1].version_id != model.version_id:
             if any(m.version_id == model.version_id for m in self.models):
                 raise ValidationError("model versions must not be reused after replacement")
             self.models.append(model)
-        self._version_index.append(len(self.models) - 1)
-        self._thresholds.append(float(threshold))
+        pair = [len(self.models) - 1, float(threshold)]
+        if self._segments and self._segments[-1][:2] == pair:
+            self._segments[-1][2] += count
+            self._ends[-1] += count
+        else:
+            self._segments.append(pair + [count])
+            self._ends.append(len(self) + count)
+
+    def _segment_for(self, j: int) -> list:
+        if not 1 <= j <= len(self):
+            raise IndexError(f"patient index {j} outside 1..{len(self)}")
+        return self._segments[bisect.bisect_left(self._ends, j)]
 
     def model_for(self, j: int) -> RiskModelVersion:
         """Model in force for patient j (1-based)."""
-        return self.models[self._version_index[j - 1]]
+        return self.models[self._segment_for(j)[0]]
 
     def threshold_for(self, j: int) -> float:
-        return self._thresholds[j - 1]
+        return self._segment_for(j)[1]
 
     @property
     def thresholds(self) -> np.ndarray:
-        return np.asarray(self._thresholds)
+        return np.repeat([seg[1] for seg in self._segments], [seg[2] for seg in self._segments])
 
     def distinct_pairs(self) -> list[tuple[int, float]]:
         """(model list index, threshold) pairs in order of first use."""
-        seen = []
-        for idx, thr in zip(self._version_index, self._thresholds):
-            if (idx, thr) not in seen:
-                seen.append((idx, thr))
-        return seen
+        return list(dict.fromkeys((idx, thr) for idx, thr, _ in self._segments))
+
+    def column_map(self) -> np.ndarray:
+        """Per patient, the position of its pair in ``distinct_pairs()``."""
+        pos = {pair: d for d, pair in enumerate(self.distinct_pairs())}
+        return np.repeat(
+            np.asarray([pos[(idx, thr)] for idx, thr, _ in self._segments], dtype=int),
+            [count for _, _, count in self._segments],
+        )
 
 
 @dataclass
@@ -396,17 +418,10 @@ def build_counterfactual_matrix(
     thresholds = np.asarray([thr for _, thr in pairs])
     shifted = raw - thresholds[None, :]
     version_ids = np.asarray([history.models[mi].version_id for mi, _ in pairs])
-    pair_pos = {pair: d for d, pair in enumerate(pairs)}
-    column_map = np.asarray(
-        [
-            pair_pos[(history._version_index[j], history._thresholds[j])]
-            for j in range(n)
-        ]
-    )
     return CounterfactualRiskMatrix(
         shifted=shifted,
         raw=raw,
-        column_map=column_map,
+        column_map=history.column_map(),
         version_ids=version_ids,
         thresholds=thresholds,
     )

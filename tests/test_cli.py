@@ -205,6 +205,33 @@ class TestRisk:
         assert len(rows) == 80
         assert all(0.0 <= float(r["risk"]) <= 1.0 for r in rows)
 
+    def test_batch_output_is_byte_identical_to_per_patient_scoring(self, tmp_path):
+        from adaptrd.cohort import DEFAULT_COHORT_PARAMS, sample_cohort, save_cohort_csv
+        from adaptrd.risk_engine import original_pce_model, predict_risk, subgroup_for
+
+        patients = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(56), 400).patients()
+        assert {subgroup_for(p) for p in patients} == {
+            "white_female", "black_female", "white_male", "black_male"
+        }
+        src = tmp_path / "in.csv"
+        save_cohort_csv(src, patients)
+        dst = tmp_path / "out.csv"
+        assert run_cli("risk", "--input", str(src), "--output", str(dst)) == 0
+        # the file the command wrote when it scored one patient at a time
+        model = original_pce_model()
+        expected = tmp_path / "expected.csv"
+        with expected.open("w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(self.HEADER.strip().split(",") + ["subgroup", "risk"])
+            for p in patients:
+                writer.writerow(
+                    [repr(float(p.age)), p.sex, p.race, repr(float(p.systolic_bp)),
+                     repr(float(p.total_chol)), repr(float(p.hdl_chol)), int(p.smoker),
+                     int(p.diabetes), int(p.bp_treated), subgroup_for(p),
+                     repr(predict_risk(model, p))]
+                )
+        assert dst.read_bytes() == expected.read_bytes()
+
     def test_bad_row_exits_2(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
         src.write_text(self.HEADER + "30.0,male,white,120.0,213.0,50.0,0,0,0\n")

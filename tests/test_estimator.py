@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptrd.cohort import DEFAULT_COHORT_PARAMS, sample_cohort
 from adaptrd.errors import (
@@ -411,6 +413,61 @@ class TestComparators:
         assert aipw == pytest.approx(1.0, abs=0.2)
 
 
+
+def random_versioned_matrix(seed: int, n_distinct: int, n: int = 240):
+    """A matrix of ``n_distinct`` correlated columns used in consecutive blocks."""
+    local = np.random.default_rng(seed)
+    base = local.uniform(-0.2, 0.3, size=n)
+    shifted = np.column_stack(
+        [base + 0.05 * d + 0.03 * local.standard_normal(n) for d in range(n_distinct)]
+    )
+    column_map = np.repeat(np.arange(n_distinct), np.diff(np.linspace(0, n, n_distinct + 1).astype(int)))
+    matrix = CounterfactualRiskMatrix(
+        shifted=shifted,
+        raw=shifted + 0.1,
+        column_map=column_map,
+        version_ids=np.arange(n_distinct),
+        thresholds=np.full(n_distinct, 0.1),
+    )
+    treatments = (matrix.focal_shifted >= 0).astype(int)
+    outcomes = 1.0 + base - 0.5 * treatments + 0.5 * local.standard_normal(n)
+    return matrix, treatments, outcomes
+
+
+class TestCurveMatchesPointwise:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_distinct=st.integers(1, 4),
+        bandwidth=st.sampled_from([0.01, 0.02, 0.05]),
+        confidence=st.sampled_from([0.8, 0.95, 0.99]),
+        inside=st.lists(st.floats(-0.15, 0.3), min_size=1, max_size=6),
+        outside=st.lists(st.sampled_from([-9.0, -2.5, 3.0, 12.0]), max_size=3),
+    )
+    def test_curve_equals_estimate_effect_at_each_point(
+        self, seed, n_distinct, bandwidth, confidence, inside, outside
+    ):
+        matrix, treatments, outcomes = random_versioned_matrix(seed, n_distinct)
+        config = EstimatorConfig(bandwidth=bandwidth, confidence=confidence)
+        surface = fit_outcome_surface(matrix, treatments, outcomes, config)
+        grid = np.array(inside + outside)
+        np.random.default_rng(seed).shuffle(grid)
+        curve = effect_curve(surface, matrix, grid, config)
+
+        expected, skipped = [], []
+        for r in grid.tolist():
+            try:
+                expected.append(estimate_effect(surface, matrix, r, config))
+            except EffectiveSupportError as exc:
+                skipped.append((r, str(exc)))
+        assert curve.skipped == skipped
+        assert curve.r.tolist() == [e.r for e in expected]
+        assert curve.beta.tolist() == [e.beta_hat for e in expected]
+        assert len(curve.estimates) == len(expected)
+        for got, want in zip(curve.estimates, expected):
+            assert got == want  # dataclass equality: every field, exactly
+
+
 # Last in the module: these draw from the shared generator, and placing them
 # here leaves every earlier test's data as it was.
 class TestMatrixInput:
@@ -432,3 +489,13 @@ class TestMatrixInput:
         surface = fit_outcome_surface(matrix, treatments, outcomes, EstimatorConfig())
         with pytest.raises(ValidationError, match="version structure"):
             arm_predictions(surface, static_matrix(matrix.focal_shifted))
+
+    def test_lazy_curve_ignores_later_matrix_edit(self):
+        matrix, treatments, outcomes = simulated_static_trial(n=400)
+        config = EstimatorConfig()
+        surface = fit_outcome_surface(matrix, treatments, outcomes, config)
+        grid = np.array([-0.05, 0.0, 0.05])
+        expected = [estimate_effect(surface, matrix, r, config) for r in grid]
+        curve = effect_curve(surface, matrix, grid, config)
+        matrix.shifted *= 0.5  # in place, before the estimates are first read
+        assert curve.estimates == expected

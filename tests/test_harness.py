@@ -200,6 +200,38 @@ class TestRunScenario:
             run_scenario(cfg)
 
 
+
+# Recorded at commit d73d81a, before the NNT update read only the curve's
+# betas and before the model history was stored as run-length segments.
+SCENARIO3_PINNED = {
+    0: (
+        [(0, 0.1), (400, 0.23960371183573193), (500, 0.27165000899647374),
+         (600, 0.28127097687041125), (700, 0.3195982616678298),
+         (800, 0.36298463012728377), (900, 0.3577101335602254)],
+        -2.7159539911055193,
+    ),
+    1: (
+        [(0, 0.1), (400, 0.11277450381130184), (500, 0.13404851446788907),
+         (600, 0.1574114372209956), (700, 0.08109703622919577),
+         (800, 0.0428540764036824), (900, 0.17507629394022617)],
+        -0.5127140351475392,
+    ),
+    2: (
+        [(0, 0.1), (400, 0.05242106637149563), (500, 0.04780503936283782),
+         (600, 0.19919302163386735), (700, 0.17817889226672373),
+         (800, 0.16977534819151557), (900, 0.18198434657041115)],
+        -3.2503629516637593,
+    ),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SCENARIO3_PINNED))
+def test_scenario3_trajectory_and_estimate_are_pinned(seed):
+    trajectory, estimate = SCENARIO3_PINNED[seed]
+    trial = run_scenario(small_preset(3, seed=seed, n=1000))
+    assert trial.threshold_trajectory() == trajectory
+    assert evaluate_at_final_threshold(trial).methods["adaptive_rd"].estimate == estimate
+
 class TestEvaluate:
     def test_null_treatment_effect_within_three_se(self):
         # gamma3 = 0 removes the treatment term entirely; truth is 0

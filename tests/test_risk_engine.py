@@ -224,6 +224,52 @@ class TestModelHistory:
             history.append(model, thr)
         assert history.distinct_pairs() == [(0, 0.1), (0, 0.2)]
 
+    @staticmethod
+    def _recalibrated(version_id):
+        original = original_pce_model()
+        return RiskModelVersion(
+            version_id, PCE_STRATIFIED, "recalibrated",
+            coefficients=recalibrated_coefficients(original.coefficients, -0.1, 0.95),
+        )
+
+    def test_block_append_equals_single_appends(self):
+        original = original_pce_model()
+        recal = self._recalibrated(1)
+        blocks = [(original, 0.1, 3), (original, 0.1, 2), (original, 0.2, 4),
+                  (recal, 0.2, 1), (recal, 0.15, 5)]
+        blocked, single = ModelHistory(), ModelHistory()
+        for model, thr, count in blocks:
+            blocked.append(model, thr, count)
+            for _ in range(count):
+                single.append(model, thr)
+        assert len(blocked) == len(single) == 15
+        assert blocked.distinct_pairs() == single.distinct_pairs()
+        assert np.array_equal(blocked.column_map(), single.column_map())
+        assert blocked.column_map().tolist() == [0] * 5 + [1] * 4 + [2] + [3] * 5
+        assert np.array_equal(blocked.thresholds, single.thresholds)
+        for j in (1, 3, 4, 5, 6, 9, 10, 11, 15):  # both sides of every segment edge
+            assert blocked.model_for(j) is single.model_for(j)
+            assert blocked.threshold_for(j) == single.threshold_for(j)
+        assert blocked.model_for(10) is recal and blocked.threshold_for(9) == 0.2
+        for j in (0, 16):
+            with pytest.raises(IndexError):
+                blocked.model_for(j)
+
+    def test_repeated_pair_maps_to_its_first_column(self):
+        model = original_pce_model()
+        history = ModelHistory()
+        for thr, count in ((0.1, 2), (0.2, 3), (0.1, 4), (0.3, 1), (0.2, 2)):
+            history.append(model, thr, count)
+        assert history.distinct_pairs() == [(0, 0.1), (0, 0.2), (0, 0.3)]
+        assert history.column_map().tolist() == [0, 0, 1, 1, 1, 0, 0, 0, 0, 2, 1, 1]
+        assert history.threshold_for(6) == 0.1 and history.threshold_for(11) == 0.2
+
+    def test_zero_count_rejected(self):
+        history = ModelHistory()
+        with pytest.raises(ValidationError, match="count"):
+            history.append(original_pce_model(), 0.1, 0)
+        assert len(history) == 0 and history.models == []
+
 
 class TestCounterfactualMatrix:
     def _history(self, n, thresholds=None, models=None):
