@@ -155,6 +155,9 @@ def run_scenario(config: ScenarioConfig, stream: Optional[SeedStream] = None) ->
 
     original = _original_model(config)
     baseline_risk = predict_risk_batch(original, covariates)
+    # Whole-cohort raw risks already scored, by model version; a block under
+    # one of these versions takes its rows instead of being scored again.
+    known_raw = {original.version_id: baseline_risk}
     clamp_stats = ClampStats()
 
     current_model = original
@@ -176,8 +179,11 @@ def run_scenario(config: ScenarioConfig, stream: Optional[SeedStream] = None) ->
     for end in boundaries:
         if end <= start:
             continue
-        block = covariates.slice(start, end)
-        risks = predict_risk_batch(current_model, block)
+        scored = known_raw.get(current_model.version_id)
+        if scored is not None:
+            risks = scored[start:end]
+        else:
+            risks = predict_risk_batch(current_model, covariates.slice(start, end))
         raw_risk[start:end] = risks
         shifted_risk[start:end] = risks - current_threshold
         treatment[start:end] = (shifted_risk[start:end] >= 0.0).astype(int)
@@ -207,7 +213,7 @@ def run_scenario(config: ScenarioConfig, stream: Optional[SeedStream] = None) ->
                 current_model, next_version_id, events,
             )
 
-    matrix = build_counterfactual_matrix(history, covariates)
+    matrix = build_counterfactual_matrix(history, covariates, known_raw)
     return TrialData(
         config=config,
         covariates=covariates,

@@ -82,11 +82,10 @@ def link_function(mu: np.ndarray, family: str) -> np.ndarray:
 def _deviance(y: np.ndarray, mu: np.ndarray, w: np.ndarray, family: str) -> float:
     if family == GAUSSIAN:
         return float(np.sum(w * (y - mu) ** 2))
+    # y is 0/1, so each row has one log term: log(1/mu) or log(1/(1 - mu)).
     mu = np.clip(mu, _MU_EPS, 1.0 - _MU_EPS)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = np.where(y > 0, y * np.log(y / mu), 0.0)
-        t0 = np.where(y < 1, (1.0 - y) * np.log((1.0 - y) / (1.0 - mu)), 0.0)
-    return float(2.0 * np.sum(w * (t1 + t0)))
+    terms = np.log(np.where(y > 0, 1.0 / mu, 1.0 / (1.0 - mu)))
+    return float(2.0 * np.sum(w * terms))
 
 
 @dataclass
@@ -179,8 +178,7 @@ def fit_glm(spec: GlmSpec) -> GlmFit:
     dev = np.inf
     info = np.eye(p)
 
-    def irls_step(eta):
-        mu = inverse_link(eta, spec.family)
+    def irls_step(eta, mu):
         dmu = inverse_link_deriv(eta, spec.family)
         if spec.family == GAUSSIAN:
             irls_w = w
@@ -195,10 +193,12 @@ def fit_glm(spec: GlmSpec) -> GlmFit:
         theta_new = _solve_information(info, Xw.T @ z)
         return theta_new, info
 
+    mu = inverse_link(eta, spec.family)
     for it in range(1, MAX_ITER + 1):
-        theta_new, info = irls_step(eta)
+        theta_new, info = irls_step(eta, mu)
         eta = X @ theta_new
-        dev_new = _deviance(y, inverse_link(eta, spec.family), w, spec.family)
+        mu = inverse_link(eta, spec.family)
+        dev_new = _deviance(y, mu, w, spec.family)
         step = float(np.max(np.abs(theta_new - theta))) if it > 1 else np.inf
         rel_dev = abs(dev_new - dev) / (abs(dev) + 1e-300) if np.isfinite(dev) else np.inf
         theta = theta_new
@@ -206,7 +206,7 @@ def fit_glm(spec: GlmSpec) -> GlmFit:
         if step < STEP_TOL or rel_dev < DEVIANCE_TOL:
             # One polishing solve so the score vanishes at the returned theta
             # even when the deviance rule fired first.
-            theta, info = irls_step(eta)
+            theta, info = irls_step(eta, mu)
             eta = X @ theta
             dev = _deviance(y, inverse_link(eta, spec.family), w, spec.family)
             return _finalize_fit(spec, theta, info, dev, True, it, eta)

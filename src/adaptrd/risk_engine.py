@@ -396,12 +396,15 @@ class CounterfactualRiskMatrix:
 def build_counterfactual_matrix(
     history: ModelHistory,
     patients: Union[CohortTable, Sequence[PatientCovariates]],
+    known_raw: Optional[dict[int, np.ndarray]] = None,
 ) -> CounterfactualRiskMatrix:
     """Apply every distinct (model, threshold) pair to every patient.
 
     Raw risks are computed once per distinct model version and broadcast to
     the thresholds paired with it, so storage and compute are O(n x distinct)
-    rather than O(n^2).
+    rather than O(n^2). ``known_raw`` maps a version id to the raw risks of
+    these patients under that version, which are then used instead of
+    scoring the patients again.
     """
     table = patients if isinstance(patients, CohortTable) else CohortTable.from_patients(list(patients))
     n = len(table)
@@ -409,11 +412,16 @@ def build_counterfactual_matrix(
         raise ValidationError(
             f"history covers {len(history)} patients but {n} were supplied"
         )
+    known_raw = known_raw or {}
+    if any(np.shape(raw) != (n,) for raw in known_raw.values()):
+        raise ValidationError(f"known raw risks must have one value for each of {n} patients")
     pairs = history.distinct_pairs()
     raw_by_model: dict[int, np.ndarray] = {}
     for model_idx, _ in pairs:
         if model_idx not in raw_by_model:
-            raw_by_model[model_idx] = predict_risk_batch(history.models[model_idx], table)
+            model = history.models[model_idx]
+            raw = known_raw.get(model.version_id)
+            raw_by_model[model_idx] = predict_risk_batch(model, table) if raw is None else raw
     raw = np.column_stack([raw_by_model[mi] for mi, _ in pairs])
     thresholds = np.asarray([thr for _, thr in pairs])
     shifted = raw - thresholds[None, :]

@@ -11,6 +11,7 @@ from adaptrd.adaptation import (
 from adaptrd.errors import ConfigError
 from adaptrd.estimator import EstimatorConfig
 from adaptrd.harness import (
+    METHODS,
     ScenarioConfig,
     evaluate_at_final_threshold,
     run_replications,
@@ -231,6 +232,33 @@ def test_scenario3_trajectory_and_estimate_are_pinned(seed):
     trial = run_scenario(small_preset(3, seed=seed, n=1000))
     assert trial.threshold_trajectory() == trajectory
     assert evaluate_at_final_threshold(trial).methods["adaptive_rd"].estimate == estimate
+
+
+# Recorded at commit d73d81a: (final threshold, adaptive-RD SE, the estimates
+# of METHODS in order). They guard the bit-identity of the baseline-risk
+# reuse in the run loop and of the GLM deviance (logit surfaces and
+# comparators in S1, Gaussian in S2, cloglog model refits in S4 and S5).
+OTHER_SCENARIOS_PINNED = {
+    (1, 0): (0.12376132412536162, 0.09846163924519503, (0.08956466540292025, 0.2385098216718781, 0.2468543811881846, 0.2910303399959943, -0.005065180043048802)),
+    (1, 1): (0.11539000537365277, 0.04680639303861186, (0.27474790789877346, 0.2503893438868429, 0.2582632909208617, 0.35369810767708143, -0.08306943275649935)),
+    (2, 0): (0.12376132412536162, 0.8577472477632141, (-2.245408876311464, -2.3573787516842226, -1.9188357510430023, -3.3283887357072315, -3.0940687942081757)),
+    (2, 1): (0.11539000537365277, 0.8230783626380014, (0.6707705507583404, -2.060957951073829, -1.0663185498477468, 4.703067279614848, 4.076999040618912)),
+    (4, 0): (0.1, 0.07491621789831512, (-0.0972656223267329, 0.2625997925407044, 0.04941056654759197, -0.016396759017517214, 0.0391871962794787)),
+    (4, 1): (0.1, 0.14451022475993183, (0.132770723469765, 0.2604224918609843, 0.09258320046011191, 0.01482671858074117, 0.10810087474079544)),
+    (5, 0): (0.1, 0.04905580424691613, (0.04257662332716968, 0.2586102250861991, 0.0057754154567914336, 0.042048270197458715, 0.0474342354318436)),
+    (5, 1): (0.1, 0.05072883563143858, (-0.0022796297774264913, 0.24131944444444442, 0.017570062197622173, -0.05948802222337508, -0.04175569526248595)),
+}
+
+
+@pytest.mark.parametrize("scenario,seed", sorted(OTHER_SCENARIOS_PINNED))
+def test_other_scenarios_are_pinned(scenario, seed):
+    threshold, se, estimates = OTHER_SCENARIOS_PINNED[(scenario, seed)]
+    trial = run_scenario(small_preset(scenario, seed=seed, n=1000))
+    methods = evaluate_at_final_threshold(trial).methods
+    assert trial.final_threshold == threshold
+    assert methods["adaptive_rd"].se == se
+    assert tuple(methods[m].estimate for m in METHODS) == estimates
+
 
 class TestEvaluate:
     def test_null_treatment_effect_within_three_se(self):

@@ -324,3 +324,35 @@ class TestNormalCdf:
     def test_wald_width_monotone_in_level(self):
         widths = [normal_quantile(0.5 + lvl / 2) for lvl in (0.80, 0.90, 0.95, 0.99)]
         assert all(a < b for a, b in zip(widths, widths[1:]))
+
+
+def _two_term_bernoulli_deviance(y, mu, w):
+    """The textbook Bernoulli deviance, with both log terms on every row."""
+    mu = np.clip(mu, 1e-10, 1.0 - 1e-10)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = np.where(y > 0, y * np.log(y / mu), 0.0)
+        t0 = np.where(y < 1, (1.0 - y) * np.log((1.0 - y) / (1.0 - mu)), 0.0)
+    return float(2.0 * np.sum(w * (t1 + t0)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.sampled_from([0.0, 1.0]),
+            st.one_of(
+                st.floats(0.0, 1.0),
+                st.sampled_from([0.0, 1e-12, 1e-10, 0.5, 1.0 - 1e-10, 1.0 - 1e-16, 1.0]),
+            ),
+            st.floats(0.0, 10.0),
+        ),
+        min_size=1,
+        max_size=40,
+    ),
+    family=st.sampled_from([LOGIT, CLOGLOG]),
+)
+def test_bernoulli_deviance_equals_the_two_term_formula(rows, family):
+    from adaptrd.numerics import _deviance
+
+    y, mu, w = (np.array(col) for col in zip(*rows))
+    assert _deviance(y, mu, w, family) == _two_term_bernoulli_deviance(y, mu, w)

@@ -341,3 +341,37 @@ class TestCounterfactualMatrix:
         table = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(17), 10)
         with pytest.raises(ValidationError):
             build_counterfactual_matrix(self._history(8), table)
+
+    def test_known_raw_replaces_scoring_of_its_version(self):
+        table = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(19), 40)
+        original = original_pce_model()
+        recal = RiskModelVersion(
+            1, PCE_STRATIFIED, "recalibrated",
+            coefficients=recalibrated_coefficients(original.coefficients, -0.2, 0.9),
+        )
+        history = self._history(40, [0.1] * 20 + [0.15] * 20, [original] * 20 + [recal] * 20)
+        scored = build_counterfactual_matrix(history, table)
+        exact = build_counterfactual_matrix(history, table, {0: predict_risk_batch(original, table)})
+        assert np.array_equal(exact.shifted, scored.shifted)
+        assert np.array_equal(exact.raw, scored.raw)
+        # The given risks are used as they are; version 1 is still scored.
+        given = np.linspace(0.01, 0.4, 40)
+        matrix = build_counterfactual_matrix(history, table, {0: given})
+        assert np.array_equal(matrix.raw[:, 0], given)
+        assert np.array_equal(matrix.raw[:, 1], scored.raw[:, 1])
+
+    def test_known_raw_of_wrong_length_rejected(self):
+        table = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(21), 10)
+        with pytest.raises(ValidationError, match="known raw risks"):
+            build_counterfactual_matrix(self._history(10), table, {0: np.full(9, 0.1)})
+
+
+def test_pce_scores_do_not_depend_on_the_rest_of_the_batch():
+    # run_scenario takes the original model's risks of a block from the
+    # whole-cohort scores; this is exact only if a row's score does not
+    # depend on which rows are scored with it.
+    table = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(23), 3000)
+    model = original_pce_model()
+    full = predict_risk_batch(model, table)
+    for start, stop in [(0, 1), (0, 400), (400, 500), (1, 2999), (2990, 3000), (123, 1877)]:
+        assert np.array_equal(predict_risk_batch(model, table.slice(start, stop)), full[start:stop])
