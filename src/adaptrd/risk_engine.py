@@ -13,6 +13,7 @@ import bisect
 import hashlib
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -435,64 +436,109 @@ def build_counterfactual_matrix(
     )
 
 
+MATRIX_COLUMNS = ("patient_index", "version_id", "threshold", "raw_risk", "shifted_risk")
+
+
 def export_matrix_csv(matrix: CounterfactualRiskMatrix, path) -> None:
-    """Long-format export: one row per (patient, distinct column)."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        fh.write("patient_index,version_id,threshold,raw_risk,shifted_risk\n")
-        for k in range(matrix.n_patients):
-            for d in range(matrix.n_distinct):
-                fh.write(
-                    f"{k + 1},{int(matrix.version_ids[d])},{float(matrix.thresholds[d])!r},"
-                    f"{float(matrix.raw[k, d])!r},{float(matrix.shifted[k, d])!r}\n"
-                )
+    """Long-format export: one row per (patient, distinct column).
+
+    Rows are patient-major, and within a patient the distinct columns keep
+    their matrix order. Floats are written with ``repr``; each patient's
+    block of rows goes to the file in one write.
+    """
+    prefixes = [
+        f"{int(v)},{float(t)!r},"
+        for v, t in zip(matrix.version_ids.tolist(), matrix.thresholds.tolist())
+    ]
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(MATRIX_COLUMNS) + "\n")
+        for k, (raw, shifted) in enumerate(zip(matrix.raw.tolist(), matrix.shifted.tolist()), start=1):
+            fh.write("".join([f"{k},{p}{r!r},{s!r}\n" for p, r, s in zip(prefixes, raw, shifted)]))
+
+
+def _integral(values: np.ndarray, name: str) -> np.ndarray:
+    ok = np.isfinite(values) & (values == np.trunc(values)) & (np.abs(values) <= 2.0**53)
+    if not ok.all():
+        row = int(np.argmin(ok))
+        raise ConfigError(f"matrix file data row {row + 1}: {name} {float(values[row])!r} is not an integer")
+    return values.astype(np.int64)
 
 
 def import_matrix_csv(path, column_pairs: Sequence[tuple[int, float]]) -> CounterfactualRiskMatrix:
     """Rebuild a matrix from its CSV export.
 
     ``column_pairs`` is the per-patient (version_id, threshold) sequence from
-    the trial log, used to reconstruct the column map.
+    the trial log, used to reconstruct the column map. Rows may come in any
+    order; distinct columns are numbered in order of first appearance. Each
+    column must hold exactly one row for each patient 1..len(column_pairs),
+    and any other content raises ``ConfigError``.
     """
     path = Path(path)
-    rows: dict[tuple[int, float], dict[int, tuple[float, float]]] = {}
-    order: list[tuple[int, float]] = []
-    with path.open(newline="", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        expected = ["patient_index", "version_id", "threshold", "raw_risk", "shifted_risk"]
-        if header != expected:
-            raise ConfigError(f"matrix file header must be {','.join(expected)}")
-        for line_no, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if len(parts) != 5:
-                raise ConfigError(f"matrix file line {line_no}: expected 5 fields")
-            k = int(parts[0])
-            key = (int(parts[1]), float(parts[2]))
-            if key not in rows:
-                rows[key] = {}
-                order.append(key)
-            rows[key][k] = (float(parts[3]), float(parts[4]))
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+    except FileNotFoundError as exc:
+        raise ConfigError(f"matrix file not found: {path}") from exc
+    if header != list(MATRIX_COLUMNS):
+        raise ConfigError(f"matrix file header must be {','.join(MATRIX_COLUMNS)}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # an empty body is reported below
+        try:
+            body = np.loadtxt(path, delimiter=",", comments=None, ndmin=2, skiprows=1, encoding="utf-8")
+        except ValueError as exc:
+            raise ConfigError(f"matrix file: {exc}") from exc
+    if body.size == 0:
+        raise ConfigError("matrix file has no data rows")
+    if body.shape[1] != len(MATRIX_COLUMNS):
+        raise ConfigError(f"matrix file rows have {body.shape[1]} fields, expected {len(MATRIX_COLUMNS)}")
     n = len(column_pairs)
-    D = len(order)
-    raw = np.empty((n, D))
-    shifted = np.empty((n, D))
-    for d, key in enumerate(order):
-        col = rows[key]
-        if len(col) != n:
-            raise ConfigError(
-                f"matrix column {key} covers {len(col)} patients, expected {n}"
-            )
-        for k in range(1, n + 1):
-            raw[k - 1, d], shifted[k - 1, d] = col[k]
-    pos = {key: d for d, key in enumerate(order)}
+    patient = _integral(body[:, 0], "patient_index")
+    version = _integral(body[:, 1], "version_id")
+    threshold = body[:, 2]
+    outside = (patient < 1) | (patient > n)
+    if outside.any():
+        row = int(np.argmax(outside))
+        raise ConfigError(f"matrix file data row {row + 1}: patient_index {patient[row]} outside 1..{n}")
+
+    # Distinct (version, threshold) keys in order of first appearance: a stable
+    # sort keeps each key's earliest row at the start of its run.
+    order = np.lexsort((threshold, version))
+    v, t = version[order], threshold[order]
+    starts = np.ones(order.size, dtype=bool)
+    starts[1:] = (v[1:] != v[:-1]) | (t[1:] != t[:-1])
+    first_rows = order[starts]
+    key_rows = np.sort(first_rows)
+    column = np.empty(order.size, dtype=np.intp)
+    column[order] = np.searchsorted(key_rows, first_rows)[np.cumsum(starts) - 1]
+    version_ids, thresholds = version[key_rows], threshold[key_rows]
+    keys = list(zip(version_ids.tolist(), thresholds.tolist()))
+    D = len(keys)
+
+    cell = (patient - 1) * D + column
+    counts = np.bincount(cell, minlength=n * D)
+    if counts.max() > 1:
+        row = int(np.argmax(counts[cell] > 1))
+        raise ConfigError(
+            f"matrix file repeats patient {patient[row]} in column {keys[column[row]]}"
+        )
+    if counts.min() == 0:
+        covered = (counts.reshape(n, D) > 0).sum(axis=0)
+        d = int(np.argmax(covered < n))
+        raise ConfigError(f"matrix column {keys[d]} covers {covered[d]} patients, expected {n}")
+    raw = np.empty(n * D)
+    shifted = np.empty(n * D)
+    raw[cell] = body[:, 3]
+    shifted[cell] = body[:, 4]
+
+    pos = {key: d for d, key in enumerate(keys)}
     try:
         column_map = np.asarray([pos[(vid, thr)] for vid, thr in column_pairs])
     except KeyError as exc:
         raise ConfigError(f"trial log references matrix column {exc} not in file") from exc
     return CounterfactualRiskMatrix(
-        shifted=shifted,
-        raw=raw,
+        shifted=shifted.reshape(n, D),
+        raw=raw.reshape(n, D),
         column_map=column_map,
-        version_ids=np.asarray([k[0] for k in order]),
-        thresholds=np.asarray([k[1] for k in order]),
+        version_ids=version_ids,
+        thresholds=thresholds,
     )

@@ -2,7 +2,12 @@
 
 Floats are written with ``repr`` (shortest round-trip form), so re-reading a
 file reproduces the original values bit for bit and identical runs produce
-byte-identical outputs.
+byte-identical outputs. The writers format whole columns at once.
+
+``read_trial_csv`` is strict: it reads columns by header name and ignores
+extra ones, and a missing column, a row whose field count differs from the
+header's or a field that does not parse raises ``IngestionError`` naming the
+line.
 """
 
 from __future__ import annotations
@@ -55,34 +60,40 @@ def _f(x) -> str:
     return repr(float(x))
 
 
+def _floats(values) -> list:
+    """Python floats, which ``csv`` writes with ``repr``."""
+    return np.asarray(values, dtype=float).tolist()
+
+
+def _ints(values) -> list:
+    return np.asarray(values).astype(int).tolist()
+
+
 def write_trial_csv(trial: TrialData, path) -> None:
-    path = Path(path)
     cov = trial.covariates
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    columns = (
+        range(1, trial.n + 1),
+        _floats(cov.age),
+        np.where(cov.female, "female", "male").tolist(),
+        cov.race.tolist(),
+        _floats(cov.systolic_bp),
+        _floats(cov.total_chol),
+        _floats(cov.hdl_chol),
+        _ints(cov.smoker),
+        _ints(cov.diabetes),
+        _ints(cov.bp_treated),
+        _ints(trial.model_version),
+        _floats(trial.threshold),
+        _floats(trial.raw_risk),
+        _floats(trial.shifted_risk),
+        _ints(trial.treatment),
+        _floats(trial.outcome),
+        _floats(trial.baseline_risk),
+    )
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRIAL_COLUMNS)
-        for k in range(trial.n):
-            writer.writerow(
-                [
-                    k + 1,
-                    _f(cov.age[k]),
-                    "female" if cov.female[k] else "male",
-                    str(cov.race[k]),
-                    _f(cov.systolic_bp[k]),
-                    _f(cov.total_chol[k]),
-                    _f(cov.hdl_chol[k]),
-                    int(cov.smoker[k]),
-                    int(cov.diabetes[k]),
-                    int(cov.bp_treated[k]),
-                    int(trial.model_version[k]),
-                    _f(trial.threshold[k]),
-                    _f(trial.raw_risk[k]),
-                    _f(trial.shifted_risk[k]),
-                    int(trial.treatment[k]),
-                    _f(trial.outcome[k]),
-                    _f(trial.baseline_risk[k]),
-                ]
-            )
+        writer.writerows(zip(*columns))
 
 
 class LoggedTrial:
@@ -101,69 +112,75 @@ class LoggedTrial:
 
     @property
     def column_pairs(self) -> list:
-        return [
-            (int(v), float(t))
-            for v, t in zip(self.model_version, self.threshold)
-        ]
+        return list(zip(self.model_version.tolist(), self.threshold.tolist()))
+
+
+def _parse_column(texts: list, kind, name: str) -> np.ndarray:
+    """Convert one column's field texts; the first bad field names its line."""
+    try:
+        return np.fromiter(map(kind, texts), dtype=kind, count=len(texts))
+    except (ValueError, OverflowError):
+        for i, text in enumerate(texts):
+            try:
+                np.array(kind(text), dtype=kind)
+            except (ValueError, OverflowError) as exc:
+                raise IngestionError(f"trial file line {i + 2}: {name}: {exc}") from exc
+        raise
 
 
 def read_trial_csv(path) -> LoggedTrial:
+    """Re-read a trial.csv; blank lines are skipped and not counted in line numbers."""
     path = Path(path)
     if not path.exists():
         raise IngestionError(f"trial file not found: {path}")
-    rows = []
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in TRIAL_COLUMNS if c not in (reader.fieldnames or [])]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in TRIAL_COLUMNS if c not in header]
         if missing:
             raise IngestionError(f"trial file missing columns: {', '.join(missing)}")
-        for line_no, row in enumerate(reader, start=1):
-            try:
-                rows.append(
-                    (
-                        float(row["age"]),
-                        row["sex"] == "female",
-                        row["race"],
-                        float(row["systolic_bp"]),
-                        float(row["total_chol"]),
-                        float(row["hdl_chol"]),
-                        row["smoker"] == "1",
-                        row["diabetes"] == "1",
-                        row["bp_treated"] == "1",
-                        int(row["model_version"]),
-                        float(row["threshold"]),
-                        float(row["raw_risk"]),
-                        float(row["shifted_risk"]),
-                        int(row["treatment"]),
-                        float(row["outcome"]),
-                        float(row["baseline_risk"]),
-                    )
+        width = len(header)
+        cells: list[str] = []  # the data fields, row after row
+        for row in reader:
+            if row and len(row) != width:
+                raise IngestionError(
+                    f"trial file line {len(cells) // width + 2}: "
+                    f"{len(row)} fields, the header has {width}"
                 )
-            except (TypeError, ValueError, KeyError) as exc:
-                raise IngestionError(f"trial file line {line_no + 1}: {exc}") from exc
-    if not rows:
+            cells += row
+    if not cells:
         raise IngestionError("trial file has no data rows")
-    cols = list(zip(*rows))
+    where = {name: j for j, name in enumerate(header)}
+
+    def text(name: str) -> list:
+        return cells[where[name]::width]
+
+    def numbers(name: str, kind=float) -> np.ndarray:
+        return _parse_column(text(name), kind, name)
+
+    def flags(name: str, true_text: str = "1") -> np.ndarray:
+        return np.asarray(text(name)) == true_text
+
     covariates = CohortTable(
-        age=np.asarray(cols[0], dtype=float),
-        female=np.asarray(cols[1], dtype=bool),
-        race=np.asarray(cols[2], dtype="<U5"),
-        systolic_bp=np.asarray(cols[3], dtype=float),
-        total_chol=np.asarray(cols[4], dtype=float),
-        hdl_chol=np.asarray(cols[5], dtype=float),
-        smoker=np.asarray(cols[6], dtype=bool),
-        diabetes=np.asarray(cols[7], dtype=bool),
-        bp_treated=np.asarray(cols[8], dtype=bool),
+        age=numbers("age"),
+        female=flags("sex", "female"),
+        race=np.asarray(text("race"), dtype="<U5"),
+        systolic_bp=numbers("systolic_bp"),
+        total_chol=numbers("total_chol"),
+        hdl_chol=numbers("hdl_chol"),
+        smoker=flags("smoker"),
+        diabetes=flags("diabetes"),
+        bp_treated=flags("bp_treated"),
     )
     return LoggedTrial(
         covariates=covariates,
-        model_version=np.asarray(cols[9], dtype=int),
-        threshold=np.asarray(cols[10], dtype=float),
-        raw_risk=np.asarray(cols[11], dtype=float),
-        shifted_risk=np.asarray(cols[12], dtype=float),
-        treatment=np.asarray(cols[13], dtype=int),
-        outcome=np.asarray(cols[14], dtype=float),
-        baseline_risk=np.asarray(cols[15], dtype=float),
+        model_version=numbers("model_version", int),
+        threshold=numbers("threshold"),
+        raw_risk=numbers("raw_risk"),
+        shifted_risk=numbers("shifted_risk"),
+        treatment=numbers("treatment", int),
+        outcome=numbers("outcome"),
+        baseline_risk=numbers("baseline_risk"),
     )
 
 

@@ -143,6 +143,38 @@ class TestEstimateReplay:
         assert "line" in capsys.readouterr().err
 
 
+class TestMangledMatrix:
+    """Each mangled matrix.csv ends in a configuration error, not a traceback."""
+
+    @pytest.fixture(scope="class")
+    def run_dir(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("logged") / "run"
+        assert run_cli("simulate", "--config", "scenario2", "--out", str(out), *SMALL) == 0
+        return out
+
+    @pytest.mark.parametrize(
+        "row, edit",
+        [
+            pytest.param(1, lambda lines: "1,0,0.1,abc,0.2", id="malformed-number"),
+            pytest.param(-1, lambda lines: "601" + lines[-1][3:], id="index-above-n"),
+            pytest.param(2, lambda lines: lines[1], id="repeated-cell"),
+            pytest.param(1, lambda lines: "1.5" + lines[1][1:], id="fractional-index"),
+            pytest.param(1, lambda lines: "1,0.5" + lines[1][3:], id="fractional-version"),
+        ],
+    )
+    def test_mangled_matrix_exits_2(self, run_dir, tmp_path, capsys, row, edit):
+        lines = (run_dir / "matrix.csv").read_text().splitlines()
+        assert lines[1].startswith("1,0,") and lines[-1].startswith("600,")
+        lines[row] = edit(lines)
+        matrix_path = tmp_path / "matrix.csv"
+        matrix_path.write_text("\n".join(lines) + "\n")
+        code = run_cli("estimate", "--trial", str(run_dir / "trial.csv"),
+                       "--matrix", str(matrix_path),
+                       "--config", "scenario2", "--out", str(tmp_path / "z"))
+        assert code == 2
+        assert "matrix" in capsys.readouterr().err
+
+
 class TestReplicate:
     def test_deterministic_report(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

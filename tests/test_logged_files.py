@@ -1,0 +1,303 @@
+"""Byte-level oracles for the logged trial and matrix files.
+
+The writers format whole columns at once and the matrix reader parses the
+file in one pass. The per-cell and per-row implementations they replaced
+are kept here as references: the files must stay byte-identical to theirs,
+and every re-read array must be bit-identical to the one that was written.
+"""
+
+import csv
+import random
+from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from adaptrd.cohort import RACES, CohortTable
+from adaptrd.errors import ConfigError, IngestionError
+from adaptrd.risk_engine import CounterfactualRiskMatrix, export_matrix_csv, import_matrix_csv
+from adaptrd.trialio import TRIAL_COLUMNS, read_trial_csv, write_trial_csv
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 1.0 - 2.0**-53, float("inf")]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False))
+THRESHOLDS = st.one_of(st.sampled_from([0.1, 0.12, 5e-324, 1.0 - 2.0**-53]),
+                       st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+
+
+def reference_export_matrix_csv(matrix, path):
+    """The per-cell matrix writer the columnar one replaced."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        fh.write("patient_index,version_id,threshold,raw_risk,shifted_risk\n")
+        for k in range(matrix.n_patients):
+            for d in range(matrix.n_distinct):
+                fh.write(
+                    f"{k + 1},{int(matrix.version_ids[d])},{float(matrix.thresholds[d])!r},"
+                    f"{float(matrix.raw[k, d])!r},{float(matrix.shifted[k, d])!r}\n"
+                )
+
+
+def reference_import_matrix_csv(path, column_pairs):
+    """The per-line matrix reader the one-pass one replaced (valid files only)."""
+    rows, order = {}, []
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        fh.readline()
+        for line in fh:
+            parts = line.strip().split(",")
+            key = (int(parts[1]), float(parts[2]))
+            if key not in rows:
+                rows[key] = {}
+                order.append(key)
+            rows[key][int(parts[0])] = (float(parts[3]), float(parts[4]))
+    n, D = len(column_pairs), len(order)
+    raw, shifted = np.empty((n, D)), np.empty((n, D))
+    for d, key in enumerate(order):
+        for k in range(1, n + 1):
+            raw[k - 1, d], shifted[k - 1, d] = rows[key][k]
+    pos = {key: d for d, key in enumerate(order)}
+    return CounterfactualRiskMatrix(
+        shifted=shifted,
+        raw=raw,
+        column_map=np.asarray([pos[pair] for pair in column_pairs]),
+        version_ids=np.asarray([k[0] for k in order]),
+        thresholds=np.asarray([k[1] for k in order]),
+    )
+
+
+def reference_write_trial_csv(trial, path):
+    """The per-row trial writer the columnar one replaced."""
+    f = lambda x: repr(float(x))  # noqa: E731
+    cov = trial.covariates
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRIAL_COLUMNS)
+        for k in range(trial.n):
+            writer.writerow([
+                k + 1, f(cov.age[k]), "female" if cov.female[k] else "male", str(cov.race[k]),
+                f(cov.systolic_bp[k]), f(cov.total_chol[k]), f(cov.hdl_chol[k]),
+                int(cov.smoker[k]), int(cov.diabetes[k]), int(cov.bp_treated[k]),
+                int(trial.model_version[k]), f(trial.threshold[k]), f(trial.raw_risk[k]),
+                f(trial.shifted_risk[k]), int(trial.treatment[k]), f(trial.outcome[k]),
+                f(trial.baseline_risk[k]),
+            ])
+
+
+def assert_same_array(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+MATRIX_FIELDS = ("raw", "shifted", "column_map", "version_ids", "thresholds")
+
+
+def assert_same_matrix(got, want):
+    for name in MATRIX_FIELDS:
+        assert_same_array(getattr(got, name), getattr(want, name))
+
+
+@st.composite
+def matrices(draw):
+    """A matrix with its per-patient (version, threshold) pairs."""
+    keys = draw(st.lists(st.tuples(st.integers(0, 6), THRESHOLDS),
+                         min_size=1, max_size=4, unique=True))
+    n, D = draw(st.integers(1, 6)), len(keys)
+    column_map = draw(st.lists(st.integers(0, D - 1), min_size=n, max_size=n))
+    cells = st.lists(FLOATS, min_size=n * D, max_size=n * D)
+    matrix = CounterfactualRiskMatrix(
+        shifted=np.array(draw(cells)).reshape(n, D),
+        raw=np.array(draw(cells)).reshape(n, D),
+        column_map=np.asarray(column_map),
+        version_ids=np.asarray([v for v, _ in keys]),
+        thresholds=np.asarray([t for _, t in keys]),
+    )
+    return matrix, [keys[d] for d in column_map]
+
+
+def _matrix(raw, keys, column_map):
+    raw = np.asarray(raw, dtype=float)
+    return CounterfactualRiskMatrix(
+        shifted=raw - np.asarray([t for _, t in keys]),
+        raw=raw,
+        column_map=np.asarray(column_map),
+        version_ids=np.asarray([v for v, _ in keys]),
+        thresholds=np.asarray([t for _, t in keys]),
+    ), [keys[d] for d in column_map]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=matrices(), seed=st.integers(0, 2**32 - 1))
+# D = 1, with the edge floats
+@example(case=_matrix([[-0.0], [5e-324], [1e300]], [(0, 0.1)], [0, 0, 0]), seed=0)
+# the pair (0, 0.1) recurs after (1, 0.12)
+@example(case=_matrix([[0.2, 0.3], [-0.0, 5e-324], [1e300, 0.5]], [(0, 0.1), (1, 0.12)], [0, 1, 0]),
+         seed=1)
+def test_matrix_file_matches_the_per_cell_writer_and_reads_back_bit_identical(tmp_path_factory, case, seed):
+    matrix, pairs = case
+    tmp = tmp_path_factory.mktemp("matrix")
+    export_matrix_csv(matrix, tmp / "new.csv")
+    reference_export_matrix_csv(matrix, tmp / "reference.csv")
+    data = (tmp / "new.csv").read_bytes()
+    assert data == (tmp / "reference.csv").read_bytes()
+    assert_same_matrix(import_matrix_csv(tmp / "new.csv", pairs), matrix)
+
+    # rows out of order: columns are numbered in order of first appearance
+    header, *rows = data.decode().splitlines(keepends=True)
+    random.Random(seed).shuffle(rows)
+    (tmp / "shuffled.csv").write_text(header + "".join(rows), encoding="utf-8")
+    assert_same_matrix(
+        import_matrix_csv(tmp / "shuffled.csv", pairs),
+        reference_import_matrix_csv(tmp / "shuffled.csv", pairs),
+    )
+
+
+@st.composite
+def trials(draw):
+    n = draw(st.integers(1, 6))
+
+    def column(values, dtype):
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype)
+
+    covariates = CohortTable(
+        age=column(FLOATS, float),
+        female=column(st.booleans(), bool),
+        race=column(st.sampled_from(RACES), "<U5"),
+        systolic_bp=column(FLOATS, float),
+        total_chol=column(FLOATS, float),
+        hdl_chol=column(FLOATS, float),
+        smoker=column(st.booleans(), bool),
+        diabetes=column(st.booleans(), bool),
+        bp_treated=column(st.booleans(), bool),
+    )
+    return SimpleNamespace(
+        n=n,
+        covariates=covariates,
+        model_version=column(st.integers(0, 40), int),
+        threshold=column(THRESHOLDS, float),
+        raw_risk=column(FLOATS, float),
+        shifted_risk=column(FLOATS, float),
+        treatment=column(st.integers(0, 1), int),
+        outcome=column(FLOATS, float),
+        baseline_risk=column(FLOATS, float),
+    )
+
+
+TRIAL_FIELDS = ("model_version", "threshold", "raw_risk", "shifted_risk", "treatment",
+                "outcome", "baseline_risk")
+COVARIATE_FIELDS = ("age", "female", "race", "systolic_bp", "total_chol", "hdl_chol",
+                    "smoker", "diabetes", "bp_treated")
+
+
+def assert_same_trial(got, want):
+    for name in TRIAL_FIELDS:
+        assert_same_array(getattr(got, name), getattr(want, name))
+    for name in COVARIATE_FIELDS:
+        assert_same_array(getattr(got.covariates, name), getattr(want.covariates, name))
+
+
+@settings(max_examples=150, deadline=None)
+@given(trial=trials())
+def test_trial_file_matches_the_per_row_writer_and_reads_back_bit_identical(tmp_path_factory, trial):
+    tmp = tmp_path_factory.mktemp("trial")
+    write_trial_csv(trial, tmp / "new.csv")
+    reference_write_trial_csv(trial, tmp / "reference.csv")
+    assert (tmp / "new.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
+    assert_same_trial(read_trial_csv(tmp / "new.csv"), trial)
+
+
+def _small_trial():
+    n = 5
+    rng = np.random.default_rng(3)
+    covariates = CohortTable(
+        age=rng.uniform(40, 79, n), female=np.array([True, False, True, True, False]),
+        race=np.array(["white", "black", "other", "white", "black"], dtype="<U5"),
+        systolic_bp=rng.uniform(90, 200, n), total_chol=rng.uniform(130, 320, n),
+        hdl_chol=rng.uniform(20, 100, n), smoker=np.array([True, False, False, True, False]),
+        diabetes=np.array([False, False, True, False, True]),
+        bp_treated=np.array([False, True, True, False, False]),
+    )
+    raw = rng.uniform(0, 0.4, n)
+    threshold = np.array([0.1, 0.1, 0.12, 0.12, 0.1])
+    return SimpleNamespace(
+        n=n, covariates=covariates, model_version=np.array([0, 0, 0, 1, 1]),
+        threshold=threshold, raw_risk=raw, shifted_risk=raw - threshold,
+        treatment=(raw > threshold).astype(int), outcome=rng.normal(size=n),
+        baseline_risk=rng.uniform(0, 0.4, n),
+    )
+
+
+def test_trial_reader_takes_columns_by_name(tmp_path):
+    trial = _small_trial()
+    write_trial_csv(trial, tmp_path / "trial.csv")
+    with (tmp_path / "trial.csv").open(newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    order = list(range(len(header)))
+    random.Random(5).shuffle(order)
+    assert order != sorted(order)
+    with (tmp_path / "shuffled.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([header[j] for j in order[:3]] + ["site"] + [header[j] for j in order[3:]])
+        for i, row in enumerate(rows):
+            writer.writerow([row[j] for j in order[:3]] + [f"s{i}"] + [row[j] for j in order[3:]])
+    assert_same_trial(read_trial_csv(tmp_path / "shuffled.csv"), trial)
+
+
+def test_trial_reader_names_the_line_of_a_bad_row(tmp_path):
+    write_trial_csv(_small_trial(), tmp_path / "trial.csv")
+    lines = (tmp_path / "trial.csv").read_text().splitlines()
+    for mangle, message in ((lambda fields: fields[:-1], "line 4: 16 fields"),
+                            (lambda fields: fields[:12] + ["x"] + fields[13:], "line 4: raw_risk")):
+        bad = list(lines)
+        bad[3] = ",".join(mangle(bad[3].split(",")))
+        (tmp_path / "bad.csv").write_text("\n".join(bad) + "\n")
+        with pytest.raises(IngestionError, match=message):
+            read_trial_csv(tmp_path / "bad.csv")
+
+
+MATRIX_TEXT = (
+    "patient_index,version_id,threshold,raw_risk,shifted_risk\n"
+    "1,0,0.1,0.2,0.1\n"
+    "1,1,0.12,0.3,0.18\n"
+    "2,0,0.1,0.05,-0.05\n"
+    "2,1,0.12,0.06,-0.06\n"
+)
+PAIRS = [(0, 0.1), (1, 0.12)]
+
+
+@pytest.mark.parametrize(
+    "line, replacement, message",
+    [
+        (1, "1,0,0.1,abc,0.2", "could not convert"),
+        (4, "3,1,0.12,0.06,-0.06", "patient_index 3 outside 1..2"),
+        (4, "0,1,0.12,0.06,-0.06", "patient_index 0 outside 1..2"),
+        (2, "1,0,0.1,0.2,0.1", r"repeats patient 1 in column \(0, 0.1\)"),
+        (1, "1.5,0,0.1,0.2,0.1", "patient_index 1.5 is not an integer"),
+        (1, "1,0.5,0.1,0.2,0.1", "version_id 0.5 is not an integer"),
+        (2, "1,1,0.12,0.3", "number of columns"),
+        (3, "", "covers 1 patients, expected 2"),
+    ],
+)
+def test_matrix_reader_raises_config_error(tmp_path, line, replacement, message):
+    lines = MATRIX_TEXT.splitlines()
+    lines[line] = replacement
+    path = tmp_path / "matrix.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=message):
+        import_matrix_csv(path, PAIRS)
+
+
+def test_matrix_reader_rejects_bad_header_empty_body_and_unknown_pair(tmp_path):
+    path = tmp_path / "matrix.csv"
+    path.write_text(MATRIX_TEXT.replace("raw_risk", "risk"))
+    with pytest.raises(ConfigError, match="header"):
+        import_matrix_csv(path, PAIRS)
+    path.write_text(MATRIX_TEXT.splitlines()[0] + "\n")
+    with pytest.raises(ConfigError, match="no data rows"):
+        import_matrix_csv(path, PAIRS)
+    path.write_text(MATRIX_TEXT)
+    with pytest.raises(ConfigError, match="not in file"):
+        import_matrix_csv(path, [(0, 0.1), (2, 0.12)])
+    with pytest.raises(ConfigError, match="not found"):
+        import_matrix_csv(tmp_path / "missing.csv", PAIRS)
