@@ -30,7 +30,6 @@ from .cohort import (
     SyntheticCohortParams,
     load_cohort_csv,
     sample_cohort,
-    sample_patient,
     validate_covariates,
 )
 from .errors import (
@@ -85,7 +84,6 @@ from .outcomes import (
     ascvd_prob,
     attendance_prob,
     cholesterol_mean,
-    draw_outcome,
     true_local_ate,
     true_smoothed_ate,
 )
@@ -94,13 +92,10 @@ from .risk_engine import (
     ModelHistory,
     PceCoefficientSet,
     RiskModelVersion,
-    assign_treatment,
     build_counterfactual_matrix,
     load_default_coefficients,
     original_pce_model,
-    pce_linear_predictor,
     pce_risk,
-    predict_risk,
 )
 from .seeds import SeedStream
 

@@ -142,9 +142,32 @@ def _infer_estimator_config(args, outcomes: np.ndarray) -> EstimatorConfig:
     return EstimatorConfig(family=LOGIT if binary else GAUSSIAN)
 
 
+# Logged risks were scored block by block and the matrix's over the whole
+# cohort; GLM scoring is not bitwise slice-invariant, so they agree only to
+# rounding.
+SAME_RUN_TOLERANCE = 1e-12
+
+
+def _check_same_run(logged, matrix) -> None:
+    """Raise ConfigError unless the matrix's diagonal reproduces the logged risks."""
+    raw = matrix.diagonal_raw()
+    for name, ours, theirs in (
+        ("raw_risk", raw, logged.raw_risk),
+        ("shifted_risk", raw - matrix.thresholds[matrix.column_map], logged.shifted_risk),
+    ):
+        far = ~(np.abs(ours - theirs) <= SAME_RUN_TOLERANCE)
+        if far.any():
+            k = int(np.argmax(far))
+            raise ConfigError(
+                f"matrix file does not match the trial file: patient {k + 1}'s {name} is "
+                f"{float(theirs[k])!r} in the trial file but {float(ours[k])!r} in the matrix"
+            )
+
+
 def _cmd_estimate(args) -> int:
     logged = read_trial_csv(args.trial)
     matrix = import_matrix_csv(args.matrix, logged.column_pairs)
+    _check_same_run(logged, matrix)
     config = _infer_estimator_config(args, logged.outcome)
     surface = fit_outcome_surface(matrix, logged.treatment, logged.outcome, config)
     grid = _parse_grid(args.grid) if args.grid else default_grid(matrix.focal_shifted)

@@ -254,12 +254,6 @@ def _categorical(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(edges, u, side="right"), probs.size - 1)
 
 
-def sample_patient(params: SyntheticCohortParams, stream: SeedStream) -> PatientCovariates:
-    """Draw a single validated patient; deterministic given (params, stream)."""
-    table = sample_cohort(params, stream, 1)
-    return validate_covariates(table.row(0))
-
-
 # ---------------------------------------------------------------------------
 # CSV ingestion
 

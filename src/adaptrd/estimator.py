@@ -3,14 +3,14 @@
 The main estimator fits a GLM of observed outcomes on the full counterfactual
 risk profile: per-arm natural cubic splines in the focal (current
 model/threshold) shifted risk, plus a shared linear block of principal
-components of the remaining columns residualized on the focal one. Predicted
-potential outcomes under each arm are then marginalized with a Gaussian
-kernel over the focal risks, yielding the local effect at any risk value with
-a delta-method standard error and Wald interval.
+components of the other model versions' risks residualized on the focal one.
+Predicted potential outcomes under each arm are then marginalized with a
+Gaussian kernel over the focal risks, yielding the local effect at any risk
+value with a delta-method standard error and Wald interval.
 
-When no adaptation ever happened the matrix has a single distinct column, the
-PC block is empty, and the whole pipeline collapses to a standard one
-dimensional per-arm-spline kernel RD estimate.
+When the model never changed, every column is the focal one shifted by a
+constant, the PC block is empty, and the whole pipeline collapses to a
+standard one dimensional per-arm-spline kernel RD estimate.
 
 Four comparator estimators (difference in means, kernel-weighted outcome
 regression, IPW, and AIPW on a fixed covariate list) are included for
@@ -99,9 +99,9 @@ class FittedOutcomeSurface:
     fit: GlmFit
     basis_untreated: SplineBasis
     basis_treated: SplineBasis
-    resid_intercepts: np.ndarray  # per non-focal distinct column
+    resid_intercepts: np.ndarray  # per non-focal model version
     resid_slopes: np.ndarray
-    nonfocal_columns: tuple[int, ...]
+    nonfocal_columns: tuple[int, ...]  # each non-focal version's first distinct column
     pca_result: PcaResult
     focal_column: int
     treatments: np.ndarray
@@ -128,12 +128,13 @@ def arm_predictions(
     if matrix.n_distinct <= max((*surface.nonfocal_columns, surface.focal_column)):
         raise ValidationError("matrix does not match the surface's version structure")
     n = matrix.n_patients
-    # A copy, so a curve that computes its estimates later cannot see an edit of the matrix.
-    focal = np.array(matrix.shifted[:, surface.focal_column])
+    # shifted_column returns a new array, so a curve that computes its
+    # estimates later cannot see an edit of the matrix.
+    focal = matrix.shifted_column(surface.focal_column)
     if surface.nonfocal_columns:
         resid = np.column_stack(
             [
-                matrix.shifted[:, d]
+                matrix.shifted_column(d)
                 - (surface.resid_intercepts[i] + surface.resid_slopes[i] * focal)
                 for i, d in enumerate(surface.nonfocal_columns)
             ]
@@ -185,10 +186,10 @@ def fit_outcome_surface(
 ) -> FittedOutcomeSurface:
     """Fit the two-arm spline GLM on the counterfactual risk profile.
 
-    Pipeline: residualize each non-focal distinct column on the focal column,
-    compress the residuals with PCA at the configured variance threshold,
-    build the per-arm spline design (knots chosen separately from each arm's
-    focal risks), and fit the configured GLM family.
+    Pipeline: residualize each non-focal model version's risks on the focal
+    column, compress the residuals with PCA at the configured variance
+    threshold, build the per-arm spline design (knots chosen separately from
+    each arm's focal risks), and fit the configured GLM family.
     """
     treatments = np.asarray(treatments)
     outcomes = np.asarray(outcomes, dtype=float)
@@ -202,17 +203,23 @@ def fit_outcome_surface(
             f"need at least {MIN_PER_ARM} patients per arm, got {n0} untreated / {n1} treated"
         )
     focal_col = matrix.focal_index
-    focal = matrix.shifted[:, focal_col]
+    focal = matrix.focal_shifted
     if float(focal.max() - focal.min()) <= 1e-12:
         raise DegenerateSupportError("focal risk column is constant")
 
-    nonfocal = tuple(d for d in range(matrix.n_distinct) if d != focal_col)
+    # A column of the focal version is the focal column plus a constant and
+    # has no residual; any other version's columns share one residual, so
+    # each such version enters once, through its first column.
+    versions = matrix.version_index.tolist()
+    nonfocal = tuple(
+        d for d, v in enumerate(versions) if v != versions[focal_col] and versions.index(v) == d
+    )
     intercepts = np.zeros(len(nonfocal))
     slopes = np.zeros(len(nonfocal))
     if nonfocal:
         resid_cols = []
         for i, d in enumerate(nonfocal):
-            res = residualize(matrix.shifted[:, d], focal)
+            res = residualize(matrix.shifted_column(d), focal)
             resid_cols.append(res.residuals)
             intercepts[i] = res.intercept
             slopes[i] = res.slope

@@ -155,8 +155,9 @@ def run_scenario(config: ScenarioConfig, stream: Optional[SeedStream] = None) ->
 
     original = _original_model(config)
     baseline_risk = predict_risk_batch(original, covariates)
-    # Whole-cohort raw risks already scored, by model version; a block under
-    # one of these versions takes its rows instead of being scored again.
+    # Whole-cohort raw risks already scored, by model version; a block, or an
+    # NNT update's prefix matrix, under one of these versions takes its rows
+    # instead of scoring them again.
     known_raw = {original.version_id: baseline_risk}
     clamp_stats = ClampStats()
 
@@ -204,7 +205,7 @@ def run_scenario(config: ScenarioConfig, stream: Optional[SeedStream] = None) ->
         # Threshold first (reads only logged history), then the model.
         if m in thr_idx:
             current_threshold = _apply_threshold_update(
-                config, m, covariates, history, raw_risk, treatment,
+                config, m, covariates, history, known_raw, raw_risk, treatment,
                 outcome, current_threshold, events,
             )
         if m in mdl_idx:
@@ -232,7 +233,7 @@ def run_scenario(config: ScenarioConfig, stream: Optional[SeedStream] = None) ->
 
 
 def _apply_threshold_update(
-    config, m, covariates, history, raw_risk, treatment, outcome,
+    config, m, covariates, history, known_raw, raw_risk, treatment, outcome,
     current_threshold, events,
 ) -> float:
     strategy = config.threshold_strategy
@@ -242,7 +243,7 @@ def _apply_threshold_update(
             detail = f"rate_target={strategy.target_rate!r}"
         else:
             new, detail = _nnt_threshold(
-                config, m, covariates, history, treatment, outcome,
+                config, m, covariates, history, known_raw, treatment, outcome,
                 current_threshold, strategy,
             )
         if not 0.0 < new < 1.0:
@@ -257,10 +258,11 @@ def _apply_threshold_update(
 
 
 def _nnt_threshold(
-    config, m, covariates, history, treatment, outcome, current_threshold, strategy
+    config, m, covariates, history, known_raw, treatment, outcome, current_threshold, strategy
 ) -> tuple[float, str]:
     prefix = covariates.slice(0, m)
-    matrix = build_counterfactual_matrix(history, prefix)
+    prefix_raw = {version: raw[:m] for version, raw in known_raw.items()}
+    matrix = build_counterfactual_matrix(history, prefix, prefix_raw)
     surface = fit_outcome_surface(matrix, treatment[:m], outcome[:m], config.estimator)
     grid = default_grid(matrix.focal_shifted, 101)
     curve = effect_curve(surface, matrix, grid, config.estimator)

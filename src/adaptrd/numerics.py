@@ -246,19 +246,6 @@ def _finalize_fit(spec, theta, info, dev, converged, iterations, eta) -> GlmFit:
     )
 
 
-def glm_linear_predictor(fit: GlmFit, row: np.ndarray) -> float:
-    row = np.asarray(row, dtype=float)
-    if not np.all(np.isfinite(row)):
-        raise NumericError("design row contains non-finite values")
-    return float(row @ fit.theta)
-
-
-def glm_mean(fit: GlmFit, row: np.ndarray, family: Optional[str] = None) -> float:
-    """Fitted mean for one design row under the family inverse link."""
-    fam = family if family is not None else fit.family
-    return float(inverse_link(np.asarray([glm_linear_predictor(fit, row)]), fam)[0])
-
-
 # ---------------------------------------------------------------------------
 # Natural cubic splines
 

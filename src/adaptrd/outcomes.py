@@ -165,16 +165,6 @@ def _outcome_mean(model: OutcomeModel, r1, a, clamp_stats=None):
     return ascvd_prob(r1, a, model.params)
 
 
-def draw_outcome(model: OutcomeModel, r1: float, a: int, stream: SeedStream) -> float:
-    """One outcome draw; deterministic given the stream."""
-    rng = stream.generator()
-    if model.kind == BINARY:
-        p = _outcome_mean(model, r1, a)
-        return float(rng.uniform() < p)
-    mean = _outcome_mean(model, r1, a)
-    return float(mean + model.params.sigma * rng.standard_normal())
-
-
 def draw_noise(model: OutcomeModel, stream: SeedStream, n: int) -> np.ndarray:
     """Pre-draw per-patient outcome noise: uniforms (binary) or normals."""
     rng = stream.generator()

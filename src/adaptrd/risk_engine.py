@@ -3,13 +3,12 @@
 Implements the sex/race-stratified 10-year ASCVD risk calculator (coefficient
 table embedded as package data, checksum-verified, overridable by file),
 unstratified complementary log-log GLM risk models produced by revision,
-threshold-based treatment assignment, and the matrix of shifted risks every
-patient would have received under each earlier model/threshold pair.
+and the matrix of shifted risks every patient would have received under each
+earlier model/threshold pair, stored as raw risks per model version.
 """
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import json
 import math
@@ -17,7 +16,7 @@ import warnings
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -151,14 +150,6 @@ def unstratified_design(table: CohortTable) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def pce_linear_predictor(pc: PatientCovariates, coeffs: PceCoefficientSet) -> float:
-    """Weighted sum of transformed covariates for the patient's subgroup."""
-    table = CohortTable.from_patients([pc])
-    terms = _pce_term_values(table)
-    sg = coeffs.subgroups[subgroup_for(pc)]
-    return float(sum(c * terms[t][0] for t, c in sg.terms.items()))
-
-
 def pce_risk(lp: float, s0: float, lp_bar: float) -> float:
     """10-year risk = 1 - s0^exp(lp - lp_bar), clamped away from {0, 1}."""
     if not 0.0 < s0 < 1.0:
@@ -233,11 +224,6 @@ def original_pce_model(coeffs: Optional[PceCoefficientSet] = None) -> RiskModelV
     return RiskModelVersion(version_id=0, kind=PCE_STRATIFIED, provenance="original", coefficients=coeffs)
 
 
-def predict_risk(model: RiskModelVersion, pc: PatientCovariates) -> float:
-    """Predicted risk in [0, 1] for one patient under one model version."""
-    return float(predict_risk_batch(model, CohortTable.from_patients([pc]))[0])
-
-
 def predict_risk_batch(model: RiskModelVersion, table: CohortTable) -> np.ndarray:
     if model.kind == PCE_STRATIFIED:
         return _pce_risk_batch(table, model.coefficients)
@@ -277,13 +263,6 @@ def recalibrated_coefficients(
     return PceCoefficientSet(subgroups)
 
 
-def assign_treatment(shifted_risk: float) -> int:
-    """1 iff the threshold-shifted risk is at or above zero (ties treat)."""
-    if not math.isfinite(shifted_risk):
-        raise NumericError("shifted risk must be finite")
-    return 1 if shifted_risk >= 0.0 else 0
-
-
 # ---------------------------------------------------------------------------
 # Model history and the counterfactual risk matrix
 
@@ -298,10 +277,9 @@ class ModelHistory:
     def __init__(self):
         self.models: list[RiskModelVersion] = []
         self._segments: list[list] = []  # [model list index, threshold, count]
-        self._ends: list[int] = []  # last patient index (1-based) of each segment
 
     def __len__(self) -> int:
-        return self._ends[-1] if self._ends else 0
+        return sum(count for _, _, count in self._segments)
 
     def append(self, model: RiskModelVersion, threshold: float, count: int = 1) -> None:
         """Record ``count`` consecutive patients under (model, threshold)."""
@@ -316,22 +294,8 @@ class ModelHistory:
         pair = [len(self.models) - 1, float(threshold)]
         if self._segments and self._segments[-1][:2] == pair:
             self._segments[-1][2] += count
-            self._ends[-1] += count
         else:
             self._segments.append(pair + [count])
-            self._ends.append(len(self) + count)
-
-    def _segment_for(self, j: int) -> list:
-        if not 1 <= j <= len(self):
-            raise IndexError(f"patient index {j} outside 1..{len(self)}")
-        return self._segments[bisect.bisect_left(self._ends, j)]
-
-    def model_for(self, j: int) -> RiskModelVersion:
-        """Model in force for patient j (1-based)."""
-        return self.models[self._segment_for(j)[0]]
-
-    def threshold_for(self, j: int) -> float:
-        return self._segment_for(j)[1]
 
     @property
     def thresholds(self) -> np.ndarray:
@@ -352,62 +316,60 @@ class ModelHistory:
 
 @dataclass
 class CounterfactualRiskMatrix:
-    """Shifted risks r[k][j] = risk of patient k under model/threshold j.
+    """Shifted risks r[k][j] of patient k under patient j's (model, threshold) pair.
 
-    Columns sharing a (model version, threshold) pair are stored once;
-    ``column_map[j-1]`` locates patient j's column among the distinct ones.
+    A threshold shifts a model version's risks by a constant, so the matrix
+    is stored as one raw-risk column per model version, and each distinct
+    (version, threshold) pair as the index of its version's column plus its
+    threshold: r[k][j] = raw[k, version_index[d]] - thresholds[d], where
+    d = column_map[j-1] locates patient j's pair among the distinct ones.
     """
 
-    shifted: np.ndarray  # n x D distinct columns, risk - threshold
-    raw: np.ndarray  # n x D raw risks
-    column_map: np.ndarray  # n ints into the distinct columns
-    version_ids: np.ndarray  # D ints
+    raw: np.ndarray  # n x V raw risks, model versions in order of first use
+    version_ids: np.ndarray  # V ints
+    version_index: np.ndarray  # D ints into the columns of raw
     thresholds: np.ndarray  # D floats
+    column_map: np.ndarray  # n ints into the distinct columns
 
     @property
     def n_patients(self) -> int:
-        return self.shifted.shape[0]
+        return self.raw.shape[0]
 
     @property
     def n_distinct(self) -> int:
-        return self.shifted.shape[1]
+        return len(self.thresholds)
 
     @property
     def focal_index(self) -> int:
         """Distinct-column index of the last patient's (current) pair."""
         return int(self.column_map[-1])
 
+    def shifted_column(self, d: int) -> np.ndarray:
+        """Every patient's shifted risk under distinct column ``d``: raw minus threshold."""
+        return self.raw[:, self.version_index[d]] - self.thresholds[d]
+
     @property
     def focal_shifted(self) -> np.ndarray:
-        return self.shifted[:, self.focal_index]
-
-    def shifted_entry(self, k: int, j: int) -> float:
-        """r[k][j] for 1-based patient indices k (row) and j (column)."""
-        return float(self.shifted[k - 1, self.column_map[j - 1]])
-
-    def diagonal_shifted(self) -> np.ndarray:
-        idx = np.arange(self.n_patients)
-        return self.shifted[idx, self.column_map[idx]]
+        return self.shifted_column(self.focal_index)
 
     def diagonal_raw(self) -> np.ndarray:
-        idx = np.arange(self.n_patients)
-        return self.raw[idx, self.column_map[idx]]
+        """Each patient's raw risk under its own model version."""
+        return self.raw[np.arange(self.n_patients), self.version_index[self.column_map]]
 
 
 def build_counterfactual_matrix(
     history: ModelHistory,
-    patients: Union[CohortTable, Sequence[PatientCovariates]],
+    table: CohortTable,
     known_raw: Optional[dict[int, np.ndarray]] = None,
 ) -> CounterfactualRiskMatrix:
-    """Apply every distinct (model, threshold) pair to every patient.
+    """Score every patient under every model version in ``history``.
 
-    Raw risks are computed once per distinct model version and broadcast to
-    the thresholds paired with it, so storage and compute are O(n x distinct)
-    rather than O(n^2). ``known_raw`` maps a version id to the raw risks of
-    these patients under that version, which are then used instead of
-    scoring the patients again.
+    Each model version is scored once, whatever the number of thresholds
+    paired with it, so storage and compute are O(n x versions) rather than
+    O(n^2). ``known_raw`` maps a version id to the raw risks of these
+    patients under that version, which are then used instead of scoring the
+    patients again.
     """
-    table = patients if isinstance(patients, CohortTable) else CohortTable.from_patients(list(patients))
     n = len(table)
     if len(history) != n:
         raise ValidationError(
@@ -416,23 +378,17 @@ def build_counterfactual_matrix(
     known_raw = known_raw or {}
     if any(np.shape(raw) != (n,) for raw in known_raw.values()):
         raise ValidationError(f"known raw risks must have one value for each of {n} patients")
+    columns = []
+    for model in history.models:
+        scored = known_raw.get(model.version_id)
+        columns.append(predict_risk_batch(model, table) if scored is None else scored)
     pairs = history.distinct_pairs()
-    raw_by_model: dict[int, np.ndarray] = {}
-    for model_idx, _ in pairs:
-        if model_idx not in raw_by_model:
-            model = history.models[model_idx]
-            raw = known_raw.get(model.version_id)
-            raw_by_model[model_idx] = predict_risk_batch(model, table) if raw is None else raw
-    raw = np.column_stack([raw_by_model[mi] for mi, _ in pairs])
-    thresholds = np.asarray([thr for _, thr in pairs])
-    shifted = raw - thresholds[None, :]
-    version_ids = np.asarray([history.models[mi].version_id for mi, _ in pairs])
     return CounterfactualRiskMatrix(
-        shifted=shifted,
-        raw=raw,
+        raw=np.column_stack(columns),
+        version_ids=np.asarray([model.version_id for model in history.models]),
+        version_index=np.asarray([idx for idx, _ in pairs]),
+        thresholds=np.asarray([thr for _, thr in pairs]),
         column_map=history.column_map(),
-        version_ids=version_ids,
-        thresholds=thresholds,
     )
 
 
@@ -444,16 +400,18 @@ def export_matrix_csv(matrix: CounterfactualRiskMatrix, path) -> None:
 
     Rows are patient-major, and within a patient the distinct columns keep
     their matrix order. Floats are written with ``repr``; each patient's
-    block of rows goes to the file in one write.
+    block of rows goes to the file in one write. A shifted risk is computed
+    as its raw risk minus its threshold when the row is written, the same
+    float operation as ``shifted_column``.
     """
-    prefixes = [
-        f"{int(v)},{float(t)!r},"
-        for v, t in zip(matrix.version_ids.tolist(), matrix.thresholds.tolist())
+    columns = [
+        (f"{int(matrix.version_ids[v])},{t!r},", v, t)
+        for v, t in zip(matrix.version_index.tolist(), matrix.thresholds.tolist())
     ]
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(MATRIX_COLUMNS) + "\n")
-        for k, (raw, shifted) in enumerate(zip(matrix.raw.tolist(), matrix.shifted.tolist()), start=1):
-            fh.write("".join([f"{k},{p}{r!r},{s!r}\n" for p, r, s in zip(prefixes, raw, shifted)]))
+        for k, raw in enumerate(matrix.raw.tolist(), start=1):
+            fh.write("".join([f"{k},{p}{raw[v]!r},{raw[v] - t!r}\n" for p, v, t in columns]))
 
 
 def _integral(values: np.ndarray, name: str) -> np.ndarray:
@@ -469,9 +427,11 @@ def import_matrix_csv(path, column_pairs: Sequence[tuple[int, float]]) -> Counte
 
     ``column_pairs`` is the per-patient (version_id, threshold) sequence from
     the trial log, used to reconstruct the column map. Rows may come in any
-    order; distinct columns are numbered in order of first appearance. Each
-    column must hold exactly one row for each patient 1..len(column_pairs),
-    and any other content raises ``ConfigError``.
+    order; distinct columns, and the model versions they belong to, are
+    numbered in order of first appearance. Each column must hold exactly one
+    row for each patient 1..len(column_pairs), the columns of one version
+    must carry the same raw risks, and each shifted risk must be exactly its
+    raw risk minus its threshold; any other content raises ``ConfigError``.
     """
     path = Path(path)
     try:
@@ -494,11 +454,18 @@ def import_matrix_csv(path, column_pairs: Sequence[tuple[int, float]]) -> Counte
     n = len(column_pairs)
     patient = _integral(body[:, 0], "patient_index")
     version = _integral(body[:, 1], "version_id")
-    threshold = body[:, 2]
+    threshold, raw_risk, shifted_risk = body[:, 2], body[:, 3], body[:, 4]
     outside = (patient < 1) | (patient > n)
     if outside.any():
         row = int(np.argmax(outside))
         raise ConfigError(f"matrix file data row {row + 1}: patient_index {patient[row]} outside 1..{n}")
+    inexact = shifted_risk.view(np.uint64) != (raw_risk - threshold).view(np.uint64)
+    if inexact.any():
+        row = int(np.argmax(inexact))
+        raise ConfigError(
+            f"matrix file data row {row + 1}: shifted_risk {float(shifted_risk[row])!r} is not "
+            f"raw_risk - threshold ({float(raw_risk[row] - threshold[row])!r})"
+        )
 
     # Distinct (version, threshold) keys in order of first appearance: a stable
     # sort keeps each key's earliest row at the start of its run.
@@ -510,8 +477,8 @@ def import_matrix_csv(path, column_pairs: Sequence[tuple[int, float]]) -> Counte
     key_rows = np.sort(first_rows)
     column = np.empty(order.size, dtype=np.intp)
     column[order] = np.searchsorted(key_rows, first_rows)[np.cumsum(starts) - 1]
-    version_ids, thresholds = version[key_rows], threshold[key_rows]
-    keys = list(zip(version_ids.tolist(), thresholds.tolist()))
+    column_versions, thresholds = version[key_rows], threshold[key_rows]
+    keys = list(zip(column_versions.tolist(), thresholds.tolist()))
     D = len(keys)
 
     cell = (patient - 1) * D + column
@@ -525,10 +492,24 @@ def import_matrix_csv(path, column_pairs: Sequence[tuple[int, float]]) -> Counte
         covered = (counts.reshape(n, D) > 0).sum(axis=0)
         d = int(np.argmax(covered < n))
         raise ConfigError(f"matrix column {keys[d]} covers {covered[d]} patients, expected {n}")
-    raw = np.empty(n * D)
-    shifted = np.empty(n * D)
-    raw[cell] = body[:, 3]
-    shifted[cell] = body[:, 4]
+
+    # One raw column per model version, taken from the version's first column;
+    # the version's other columns must carry the same raw risks.
+    versions = column_versions.tolist()
+    version_ids = list(dict.fromkeys(versions))
+    version_index = np.asarray([version_ids.index(vid) for vid in versions])
+    dense = np.empty(n * D)
+    dense[cell] = raw_risk
+    dense = dense.reshape(n, D)
+    raw = dense[:, [versions.index(vid) for vid in version_ids]]
+    for d, v in enumerate(version_index.tolist()):
+        differs = dense[:, d].view(np.uint64) != raw[:, v].view(np.uint64)
+        if differs.any():
+            k = int(np.argmax(differs))
+            raise ConfigError(
+                f"matrix column {keys[d]} has raw_risk {float(dense[k, d])!r} for patient {k + 1}, "
+                f"but {float(raw[k, v])!r} in another column of version {versions[d]}"
+            )
 
     pos = {key: d for d, key in enumerate(keys)}
     try:
@@ -536,9 +517,9 @@ def import_matrix_csv(path, column_pairs: Sequence[tuple[int, float]]) -> Counte
     except KeyError as exc:
         raise ConfigError(f"trial log references matrix column {exc} not in file") from exc
     return CounterfactualRiskMatrix(
-        shifted=shifted.reshape(n, D),
-        raw=raw.reshape(n, D),
-        column_map=column_map,
-        version_ids=version_ids,
+        raw=raw,
+        version_ids=np.asarray(version_ids),
+        version_index=version_index,
         thresholds=thresholds,
+        column_map=column_map,
     )

@@ -6,8 +6,8 @@ byte-identical outputs. The writers format whole columns at once.
 
 ``read_trial_csv`` is strict: it reads columns by header name and ignores
 extra ones, and a missing column, a row whose field count differs from the
-header's or a field that does not parse raises ``IngestionError`` naming the
-line.
+header's, a field that does not parse or a sex, race or 0/1 flag outside its
+categories raises ``IngestionError`` naming the line.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cohort import CohortTable
+from .cohort import RACES, CohortTable
 from .errors import IngestionError
 from .estimator import EffectCurve
 from .harness import AdaptationEvent, TrialData
@@ -158,13 +158,22 @@ def read_trial_csv(path) -> LoggedTrial:
     def numbers(name: str, kind=float) -> np.ndarray:
         return _parse_column(text(name), kind, name)
 
-    def flags(name: str, true_text: str = "1") -> np.ndarray:
-        return np.asarray(text(name)) == true_text
+    def categories(name: str, allowed: tuple) -> np.ndarray:
+        values = text(name)
+        if not set(values) <= set(allowed):
+            i = next(i for i, value in enumerate(values) if value not in allowed)
+            raise IngestionError(
+                f"trial file line {i + 2}: {name}: {values[i]!r} is not one of {', '.join(allowed)}"
+            )
+        return np.asarray(values)
+
+    def flags(name: str) -> np.ndarray:
+        return categories(name, ("0", "1")) == "1"
 
     covariates = CohortTable(
         age=numbers("age"),
-        female=flags("sex", "female"),
-        race=np.asarray(text("race"), dtype="<U5"),
+        female=categories("sex", ("female", "male")) == "female",
+        race=categories("race", RACES).astype("<U5"),
         systolic_bp=numbers("systolic_bp"),
         total_chol=numbers("total_chol"),
         hdl_chol=numbers("hdl_chol"),

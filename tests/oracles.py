@@ -1,8 +1,10 @@
 """Independent reference implementations shared by the test modules.
 
-Everything here is deliberately written from first principles (textbook
-formulas, lstsq, plain loops) and shares no code with the package internals
-it checks.
+Everything here except ``dense_design_reference`` is deliberately written
+from first principles (textbook formulas, lstsq, plain loops) and shares no
+code with the package internals it checks. ``dense_design_reference`` keeps
+the earlier dense estimator design, built from the package's numerical
+steps, as a bitwise reference.
 """
 
 import math
@@ -69,3 +71,102 @@ def phi_series(x: float) -> float:
         n += 1
         term *= -t * t / n
     return 0.5 * (1.0 + 2.0 / math.sqrt(math.pi) * total)
+
+
+def pce_linear_predictor(patient, coeffs) -> float:
+    """Pooled-cohort linear predictor of one patient, summed term by term.
+
+    Written from the coefficient table's term names with scalar ``math``
+    functions; race ``other`` uses the white tables.
+    """
+    ln_age = math.log(patient.age)
+    ln_sbp = math.log(patient.systolic_bp)
+    treated = 1.0 if patient.bp_treated else 0.0
+    smoker = 1.0 if patient.smoker else 0.0
+    values = {
+        "ln_age": ln_age,
+        "ln_age_sq": ln_age * ln_age,
+        "ln_total_chol": math.log(patient.total_chol),
+        "ln_age_x_ln_total_chol": ln_age * math.log(patient.total_chol),
+        "ln_hdl": math.log(patient.hdl_chol),
+        "ln_age_x_ln_hdl": ln_age * math.log(patient.hdl_chol),
+        "ln_sbp_treated": ln_sbp * treated,
+        "ln_age_x_ln_sbp_treated": ln_age * ln_sbp * treated,
+        "ln_sbp_untreated": ln_sbp * (1.0 - treated),
+        "ln_age_x_ln_sbp_untreated": ln_age * ln_sbp * (1.0 - treated),
+        "smoker": smoker,
+        "ln_age_x_smoker": ln_age * smoker,
+        "diabetes": 1.0 if patient.diabetes else 0.0,
+    }
+    race = "black" if patient.race == "black" else "white"
+    table = coeffs.subgroups[f"{race}_{patient.sex}"]
+    return sum(c * values[term] for term, c in table.terms.items())
+
+
+def dense_design_reference(shifted, focal_index, treatments, outcomes, config, r):
+    """Outcome-surface fit and effect at ``r`` on the dense n x D design.
+
+    ``shifted`` holds one column per distinct (model version, threshold)
+    pair. Every non-focal column is residualized on the focal one and the
+    residuals go through PCA, which is how the design was built before the
+    matrix stored one raw-risk column per model version. The numerical
+    steps are the package's own, so a comparison with the package is bitwise
+    and tests only which columns enter the design.
+    """
+    from adaptrd.estimator import EffectEstimate
+    from adaptrd.numerics import (
+        GlmSpec,
+        choose_knots,
+        fit_glm,
+        gaussian_kernel_weights,
+        inverse_link,
+        inverse_link_deriv,
+        natural_cubic_basis,
+        normal_quantile,
+        pca,
+        residualize,
+    )
+
+    n = shifted.shape[0]
+    focal = shifted[:, focal_index]
+    residuals = [
+        residualize(shifted[:, d], focal).residuals
+        for d in range(shifted.shape[1])
+        if d != focal_index
+    ]
+    resid = np.column_stack(residuals) if residuals else np.empty((n, 0))
+    scores = pca(resid, config.pca_variance).transform(resid)
+    b0 = natural_cubic_basis(focal, choose_knots(focal[treatments == 0], config.spline_df))
+    b1 = natural_cubic_basis(focal, choose_knots(focal[treatments == 1], config.spline_df))
+
+    def design(arm):
+        cols = [np.ones(n), b0 * (1.0 - arm)[:, None], arm, b1 * arm[:, None]]
+        if scores.shape[1] > 0:
+            cols.append(scores)
+        return np.column_stack(cols)
+
+    fit = fit_glm(GlmSpec(config.family, design(treatments.astype(float)), outcomes))
+    X0, X1 = design(np.zeros(n)), design(np.ones(n))
+    eta0, eta1 = X0 @ fit.theta, X1 @ fit.theta
+    mu0, mu1 = inverse_link(eta0, fit.family), inverse_link(eta1, fit.family)
+    d0, d1 = inverse_link_deriv(eta0, fit.family), inverse_link_deriv(eta1, fit.family)
+    w = gaussian_kernel_weights(focal, r, config.bandwidth)
+    beta = float(w @ (mu1 - mu0))
+    grad = X1.T @ (w * d1) - X0.T @ (w * d0)
+    se = float(np.sqrt(max(float(grad @ fit.cov @ grad), 0.0)))
+    z = normal_quantile(0.5 + config.confidence / 2.0)
+    treated = treatments == 1
+    eff_n1 = float(w[treated].sum() * n)
+    eff_n0 = float(w[~treated].sum() * n)
+    estimate = EffectEstimate(
+        r=float(r),
+        beta_hat=beta,
+        se=se,
+        ci=(beta - z * se, beta + z * se),
+        mu1_hat=float(w @ mu1),
+        mu0_hat=float(w @ mu0),
+        eff_n_treated=eff_n1,
+        eff_n_untreated=eff_n0,
+        low_support=min(eff_n0, eff_n1) < config.min_effective,
+    )
+    return fit, estimate

@@ -18,14 +18,13 @@ from adaptrd.adaptation import (
     threshold_for_nnt,
     threshold_for_rate,
 )
-from adaptrd.cohort import DEFAULT_COHORT_PARAMS, PatientCovariates, sample_cohort
+from adaptrd.cohort import DEFAULT_COHORT_PARAMS, CohortTable, PatientCovariates, sample_cohort
 from adaptrd.errors import ConfigError, InsufficientDataError, ValidationError
 from adaptrd.numerics import normal_cdf
 from adaptrd.outcomes import AscvdParams, OutcomeModel, draw_noise, outcomes_from_noise
 from adaptrd.risk_engine import (
     GLM_UNSTRATIFIED,
     original_pce_model,
-    predict_risk,
     predict_risk_batch,
 )
 from adaptrd.seeds import SeedStream
@@ -212,7 +211,7 @@ class TestRevise:
         twin_a = PatientCovariates(60.0, "male", "white", 130.0, 200.0, 50.0, False, False, False)
         twin_b = PatientCovariates(60.0, "male", "black", 130.0, 200.0, 50.0, False, False, False)
         twin_c = PatientCovariates(60.0, "female", "black", 130.0, 200.0, 50.0, False, False, False)
-        ra, rb, rc = (predict_risk(revised, t) for t in (twin_a, twin_b, twin_c))
+        ra, rb, rc = predict_risk_batch(revised, CohortTable.from_patients([twin_a, twin_b, twin_c]))
         assert ra == rb == rc
 
     def test_risks_stay_in_unit_interval(self):

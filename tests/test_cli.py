@@ -8,6 +8,7 @@ from adaptrd.cli import main
 from adaptrd.config import PRESET_NAMES, apply_overrides, load_config_payload, parse_config
 from adaptrd.errors import ConfigError
 from adaptrd.harness import run_scenario, scenario_preset
+from adaptrd.risk_engine import import_matrix_csv
 from adaptrd.seeds import SeedStream
 from adaptrd.trialio import read_trial_csv, write_trial_csv
 
@@ -143,6 +144,40 @@ class TestEstimateReplay:
         assert "line" in capsys.readouterr().err
 
 
+class TestSameRunCheck:
+    """``estimate`` takes a trial file and a matrix file only from one run."""
+
+    def test_files_from_two_runs_exit_2(self, tmp_path, capsys):
+        # Same scenario and size, two seeds: every logged (version, threshold)
+        # pair is a column of the other run's matrix, but the risks differ.
+        for seed in ("7", "8"):
+            assert run_cli("simulate", "--config", "scenario4", "--out", str(tmp_path / seed),
+                           "--override", "n_patients=600", "--seed", seed) == 0
+        code = run_cli("estimate", "--trial", str(tmp_path / "7" / "trial.csv"),
+                       "--matrix", str(tmp_path / "8" / "matrix.csv"),
+                       "--config", "scenario4", "--out", str(tmp_path / "z"))
+        assert code == 2
+        assert "matrix file does not match the trial file: patient 1's raw_risk" in capsys.readouterr().err
+
+    def test_risks_that_agree_to_rounding_exit_0(self, tmp_path):
+        # With updates every 75 patients, GLM scoring of a logged block and of
+        # the whole cohort differ in the last bits for a few patients.
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--config", "scenario5", "--out", str(out),
+                       "--override", "update_every=75", "--override", "model_strategy.update_every=75",
+                       *SMALL) == 0
+        logged = read_trial_csv(out / "trial.csv")
+        diagonal = import_matrix_csv(out / "matrix.csv", logged.column_pairs).diagonal_raw()
+        assert (diagonal != logged.raw_risk).any()
+        assert np.abs(diagonal - logged.raw_risk).max() < 1e-13
+        replay = tmp_path / "replay"
+        code = run_cli("estimate", "--trial", str(out / "trial.csv"),
+                       "--matrix", str(out / "matrix.csv"),
+                       "--config", "scenario5", "--out", str(replay))
+        assert code == 0
+        assert (out / "curve.csv").read_bytes() == (replay / "curve.csv").read_bytes()
+
+
 class TestMangledMatrix:
     """Each mangled matrix.csv ends in a configuration error, not a traceback."""
 
@@ -238,8 +273,8 @@ class TestRisk:
         assert all(0.0 <= float(r["risk"]) <= 1.0 for r in rows)
 
     def test_batch_output_is_byte_identical_to_per_patient_scoring(self, tmp_path):
-        from adaptrd.cohort import DEFAULT_COHORT_PARAMS, sample_cohort, save_cohort_csv
-        from adaptrd.risk_engine import original_pce_model, predict_risk, subgroup_for
+        from adaptrd.cohort import DEFAULT_COHORT_PARAMS, CohortTable, sample_cohort, save_cohort_csv
+        from adaptrd.risk_engine import original_pce_model, predict_risk_batch, subgroup_for
 
         patients = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(56), 400).patients()
         assert {subgroup_for(p) for p in patients} == {
@@ -260,7 +295,7 @@ class TestRisk:
                     [repr(float(p.age)), p.sex, p.race, repr(float(p.systolic_bp)),
                      repr(float(p.total_chol)), repr(float(p.hdl_chol)), int(p.smoker),
                      int(p.diabetes), int(p.bp_treated), subgroup_for(p),
-                     repr(predict_risk(model, p))]
+                     repr(float(predict_risk_batch(model, CohortTable.from_patients([p]))[0]))]
                 )
         assert dst.read_bytes() == expected.read_bytes()
 

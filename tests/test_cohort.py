@@ -11,7 +11,6 @@ from adaptrd.cohort import (
     SyntheticCohortParams,
     load_cohort_csv,
     sample_cohort,
-    sample_patient,
     save_cohort_csv,
     validate_covariates,
 )
@@ -68,8 +67,8 @@ class TestSampling:
         assert table.female.all()
 
     def test_determinism_same_params_and_stream(self):
-        p1 = sample_patient(DEFAULT_COHORT_PARAMS, SeedStream(11, (2,)))
-        p2 = sample_patient(DEFAULT_COHORT_PARAMS, SeedStream(11, (2,)))
+        p1 = validate_covariates(sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(11, (2,)), 1).row(0))
+        p2 = validate_covariates(sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(11, (2,)), 1).row(0))
         assert p1 == p2
 
     def test_mean_age_matches_uniform_oracle(self):

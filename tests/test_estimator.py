@@ -40,20 +40,23 @@ from adaptrd.risk_engine import (
     predict_risk_batch,
 )
 from adaptrd.seeds import SeedStream
-from oracles import independent_rd_estimate
+from oracles import dense_design_reference, independent_rd_estimate
 
 rng = np.random.default_rng(777)
 
 
 def static_matrix(focal: np.ndarray) -> CounterfactualRiskMatrix:
-    """Single-column matrix as produced by a never-adapting trial."""
+    """Single-column matrix as produced by a never-adapting trial.
+
+    The threshold is 0, so the focal shifted risks are ``focal`` bit for bit.
+    """
     focal = np.asarray(focal, dtype=float)
     return CounterfactualRiskMatrix(
-        shifted=focal[:, None],
-        raw=focal[:, None] + 0.1,
-        column_map=np.zeros(focal.size, dtype=int),
+        raw=focal[:, None],
         version_ids=np.array([0]),
-        thresholds=np.array([0.1]),
+        version_index=np.array([0]),
+        thresholds=np.array([0.0]),
+        column_map=np.zeros(focal.size, dtype=int),
     )
 
 
@@ -106,11 +109,11 @@ class TestFitSurface:
         surface = fit_outcome_surface(matrix, treatments, outcomes, EstimatorConfig())
         perm = rng.permutation(400)
         permuted = CounterfactualRiskMatrix(
-            shifted=matrix.shifted[perm],
             raw=matrix.raw[perm],
-            column_map=matrix.column_map[perm],
             version_ids=matrix.version_ids,
+            version_index=matrix.version_index,
             thresholds=matrix.thresholds,
+            column_map=matrix.column_map[perm],
         )
         surface_p = fit_outcome_surface(
             permuted, treatments[perm], outcomes[perm], EstimatorConfig()
@@ -422,12 +425,13 @@ def random_versioned_matrix(seed: int, n_distinct: int, n: int = 240):
         [base + 0.05 * d + 0.03 * local.standard_normal(n) for d in range(n_distinct)]
     )
     column_map = np.repeat(np.arange(n_distinct), np.diff(np.linspace(0, n, n_distinct + 1).astype(int)))
+    # One version per column, at threshold 0: the shifted risks are the raw ones.
     matrix = CounterfactualRiskMatrix(
-        shifted=shifted,
-        raw=shifted + 0.1,
-        column_map=column_map,
+        raw=shifted,
         version_ids=np.arange(n_distinct),
-        thresholds=np.full(n_distinct, 0.1),
+        version_index=np.arange(n_distinct),
+        thresholds=np.zeros(n_distinct),
+        column_map=column_map,
     )
     treatments = (matrix.focal_shifted >= 0).astype(int)
     outcomes = 1.0 + base - 0.5 * treatments + 0.5 * local.standard_normal(n)
@@ -468,6 +472,98 @@ class TestCurveMatchesPointwise:
             assert got == want  # dataclass equality: every field, exactly
 
 
+def versioned_matrix(seed, versions, thresholds, n=240):
+    """A matrix whose distinct column d is version ``versions[d]`` at ``thresholds[d]``.
+
+    Columns are used in consecutive blocks; versions must be numbered in
+    order of first use. Each version's raw risks are correlated with the
+    others'.
+    """
+    local = np.random.default_rng(seed)
+    V, D = max(versions) + 1, len(versions)
+    base = local.uniform(0.0, 0.5, size=n)
+    raw = np.column_stack([base + 0.03 * local.standard_normal(n) for _ in range(V)])
+    matrix = CounterfactualRiskMatrix(
+        raw=raw,
+        version_ids=np.arange(V) + 3,
+        version_index=np.asarray(versions),
+        thresholds=np.asarray(thresholds, dtype=float),
+        column_map=np.repeat(np.arange(D), np.diff(np.linspace(0, n, D + 1).astype(int))),
+    )
+    treatments = (matrix.focal_shifted >= 0).astype(int)
+    outcomes = 1.0 + base - 0.5 * treatments + 0.5 * local.standard_normal(n)
+    return matrix, treatments, outcomes
+
+
+THRESHOLD_VALUES = st.floats(0.05, 0.45)
+
+
+@st.composite
+def scenario_shapes(draw):
+    """(version of each distinct column, thresholds) in the shapes the presets reach."""
+    D = draw(st.integers(1, 5))
+    if draw(st.booleans()):  # one version at D thresholds, as in S1-S3
+        versions = [0] * D
+        thresholds = draw(st.lists(THRESHOLD_VALUES, min_size=D, max_size=D, unique=True))
+    else:  # one column per version at a fixed threshold, as in S4 and S5
+        versions = list(range(D))
+        thresholds = [draw(THRESHOLD_VALUES)] * D
+    return versions, thresholds
+
+
+class TestDenseDesignEquivalence:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=scenario_shapes(),
+        family=st.sampled_from([GAUSSIAN, LOGIT]),
+        pca_variance=st.sampled_from([0.5, 0.9, 1.0]),
+        r=st.floats(-0.1, 0.1),
+    )
+    def test_fit_and_effect_equal_the_dense_design_bitwise(self, seed, shape, family, pca_variance, r):
+        matrix, treatments, outcomes = versioned_matrix(seed, *shape)
+        if family == LOGIT:
+            outcomes = (outcomes > 1.0).astype(float)
+        config = EstimatorConfig(family=family, pca_variance=pca_variance, bandwidth=0.05)
+        surface = fit_outcome_surface(matrix, treatments, outcomes, config)
+        dense = matrix.raw[:, matrix.version_index] - matrix.thresholds[None, :]
+        fit, estimate = dense_design_reference(
+            dense, matrix.focal_index, treatments, outcomes, config, r
+        )
+        assert surface.fit.theta.tobytes() == fit.theta.tobytes()
+        assert surface.fit.cov.tobytes() == fit.cov.tobytes()
+        assert estimate_effect(surface, matrix, r, config) == estimate
+
+
+def test_nonfocal_version_counts_once_whatever_its_thresholds():
+    # Version 0 was in force at three thresholds. The fit equals the fit with
+    # its second and third columns dropped, so the number of threshold
+    # updates does not weight its direction in the PCA.
+    config = EstimatorConfig(pca_variance=0.5)
+    matrix, treatments, outcomes = versioned_matrix(11, [0, 0, 0, 1, 2], [0.1, 0.15, 0.2, 0.1, 0.2])
+    dropped = CounterfactualRiskMatrix(
+        raw=matrix.raw,
+        version_ids=matrix.version_ids,
+        version_index=np.array([0, 1, 2]),
+        thresholds=np.array([0.1, 0.1, 0.2]),
+        column_map=np.maximum(matrix.column_map - 2, 0),
+    )
+    assert np.array_equal(dropped.focal_shifted, matrix.focal_shifted)
+    full = fit_outcome_surface(matrix, treatments, outcomes, config)
+    fewer = fit_outcome_surface(dropped, treatments, outcomes, config)
+    assert full.nonfocal_columns == (0, 3) and fewer.nonfocal_columns == (0, 1)
+    assert full.pca_result.retained == 1
+    assert full.fit.theta.tobytes() == fewer.fit.theta.tobytes()
+    assert full.fit.cov.tobytes() == fewer.fit.cov.tobytes()
+    estimate = estimate_effect(full, matrix, 0.0, config)
+    assert estimate == estimate_effect(fewer, dropped, 0.0, config)
+    # The dense design residualized every column, which weighted version 0
+    # three times and moved the retained component.
+    dense = matrix.raw[:, matrix.version_index] - matrix.thresholds[None, :]
+    _, weighted = dense_design_reference(dense, 4, treatments, outcomes, config, 0.0)
+    assert abs(weighted.beta_hat - estimate.beta_hat) > 1e-3
+
+
 # Last in the module: these draw from the shared generator, and placing them
 # here leaves every earlier test's data as it was.
 class TestMatrixInput:
@@ -476,8 +572,8 @@ class TestMatrixInput:
         config = EstimatorConfig()
         surface = fit_outcome_surface(matrix, treatments, outcomes, config)
         before = estimate_effect(surface, matrix, 0.0, config)
-        matrix.shifted = matrix.shifted * 0.5  # same object, new content
-        fresh = static_matrix(matrix.shifted[:, 0])
+        matrix.raw = matrix.raw * 0.5  # same object, new content
+        fresh = static_matrix(matrix.focal_shifted)
         after = estimate_effect(surface, matrix, 0.0, config)
         assert after == estimate_effect(surface, fresh, 0.0, config)
         assert after.beta_hat != before.beta_hat
@@ -497,5 +593,5 @@ class TestMatrixInput:
         grid = np.array([-0.05, 0.0, 0.05])
         expected = [estimate_effect(surface, matrix, r, config) for r in grid]
         curve = effect_curve(surface, matrix, grid, config)
-        matrix.shifted *= 0.5  # in place, before the estimates are first read
+        matrix.raw *= 0.5  # in place, before the estimates are first read
         assert curve.estimates == expected

@@ -33,9 +33,12 @@ def reference_export_matrix_csv(matrix, path):
         fh.write("patient_index,version_id,threshold,raw_risk,shifted_risk\n")
         for k in range(matrix.n_patients):
             for d in range(matrix.n_distinct):
+                v = matrix.version_index[d]
+                raw = float(matrix.raw[k, v])
+                threshold = float(matrix.thresholds[d])
                 fh.write(
-                    f"{k + 1},{int(matrix.version_ids[d])},{float(matrix.thresholds[d])!r},"
-                    f"{float(matrix.raw[k, d])!r},{float(matrix.shifted[k, d])!r}\n"
+                    f"{k + 1},{int(matrix.version_ids[v])},{threshold!r},"
+                    f"{raw!r},{raw - threshold!r}\n"
                 )
 
 
@@ -50,19 +53,21 @@ def reference_import_matrix_csv(path, column_pairs):
             if key not in rows:
                 rows[key] = {}
                 order.append(key)
-            rows[key][int(parts[0])] = (float(parts[3]), float(parts[4]))
-    n, D = len(column_pairs), len(order)
-    raw, shifted = np.empty((n, D)), np.empty((n, D))
-    for d, key in enumerate(order):
+            rows[key][int(parts[0])] = float(parts[3])
+    versions = list(dict.fromkeys(v for v, _ in order))
+    n = len(column_pairs)
+    raw = np.empty((n, len(versions)))
+    for i, version in enumerate(versions):
+        key = next(key for key in order if key[0] == version)
         for k in range(1, n + 1):
-            raw[k - 1, d], shifted[k - 1, d] = rows[key][k]
+            raw[k - 1, i] = rows[key][k]
     pos = {key: d for d, key in enumerate(order)}
     return CounterfactualRiskMatrix(
-        shifted=shifted,
         raw=raw,
-        column_map=np.asarray([pos[pair] for pair in column_pairs]),
-        version_ids=np.asarray([k[0] for k in order]),
+        version_ids=np.asarray(versions),
+        version_index=np.asarray([versions.index(v) for v, _ in order]),
         thresholds=np.asarray([k[1] for k in order]),
+        column_map=np.asarray([pos[pair] for pair in column_pairs]),
     )
 
 
@@ -90,7 +95,7 @@ def assert_same_array(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-MATRIX_FIELDS = ("raw", "shifted", "column_map", "version_ids", "thresholds")
+MATRIX_FIELDS = ("raw", "version_ids", "version_index", "thresholds", "column_map")
 
 
 def assert_same_matrix(got, want):
@@ -98,33 +103,31 @@ def assert_same_matrix(got, want):
         assert_same_array(getattr(got, name), getattr(want, name))
 
 
+def _matrix(raw, keys, column_map):
+    """A matrix from raw risks per version and (version id, threshold) keys.
+
+    The versions are numbered in order of first use among the keys, as
+    ``build_counterfactual_matrix`` numbers them.
+    """
+    versions = list(dict.fromkeys(v for v, _ in keys))
+    return CounterfactualRiskMatrix(
+        raw=np.asarray(raw, dtype=float).reshape(len(column_map), len(versions)),
+        version_ids=np.asarray(versions),
+        version_index=np.asarray([versions.index(v) for v, _ in keys]),
+        thresholds=np.asarray([t for _, t in keys]),
+        column_map=np.asarray(column_map),
+    ), [keys[d] for d in column_map]
+
+
 @st.composite
 def matrices(draw):
-    """A matrix with its per-patient (version, threshold) pairs."""
+    """A matrix with its per-patient (version, threshold) pairs; raw risks drawn per version."""
     keys = draw(st.lists(st.tuples(st.integers(0, 6), THRESHOLDS),
                          min_size=1, max_size=4, unique=True))
     n, D = draw(st.integers(1, 6)), len(keys)
+    V = len({v for v, _ in keys})
     column_map = draw(st.lists(st.integers(0, D - 1), min_size=n, max_size=n))
-    cells = st.lists(FLOATS, min_size=n * D, max_size=n * D)
-    matrix = CounterfactualRiskMatrix(
-        shifted=np.array(draw(cells)).reshape(n, D),
-        raw=np.array(draw(cells)).reshape(n, D),
-        column_map=np.asarray(column_map),
-        version_ids=np.asarray([v for v, _ in keys]),
-        thresholds=np.asarray([t for _, t in keys]),
-    )
-    return matrix, [keys[d] for d in column_map]
-
-
-def _matrix(raw, keys, column_map):
-    raw = np.asarray(raw, dtype=float)
-    return CounterfactualRiskMatrix(
-        shifted=raw - np.asarray([t for _, t in keys]),
-        raw=raw,
-        column_map=np.asarray(column_map),
-        version_ids=np.asarray([v for v, _ in keys]),
-        thresholds=np.asarray([t for _, t in keys]),
-    ), [keys[d] for d in column_map]
+    return _matrix(draw(st.lists(FLOATS, min_size=n * V, max_size=n * V)), keys, column_map)
 
 
 @settings(max_examples=150, deadline=None)
@@ -134,6 +137,9 @@ def _matrix(raw, keys, column_map):
 # the pair (0, 0.1) recurs after (1, 0.12)
 @example(case=_matrix([[0.2, 0.3], [-0.0, 5e-324], [1e300, 0.5]], [(0, 0.1), (1, 0.12)], [0, 1, 0]),
          seed=1)
+# version 5 at two thresholds, around version 2
+@example(case=_matrix([[0.2, 0.3], [-0.0, float("inf")], [1e300, 0.5]],
+                      [(5, 0.1), (2, 0.12), (5, 0.3)], [0, 1, 2]), seed=2)
 def test_matrix_file_matches_the_per_cell_writer_and_reads_back_bit_identical(tmp_path_factory, case, seed):
     matrix, pairs = case
     tmp = tmp_path_factory.mktemp("matrix")
@@ -256,6 +262,23 @@ def test_trial_reader_names_the_line_of_a_bad_row(tmp_path):
             read_trial_csv(tmp_path / "bad.csv")
 
 
+@pytest.mark.parametrize(
+    "column, value",
+    [("sex", "F"), ("sex", "Female"), ("race", "hispanic"), ("race", "asian"),
+     ("smoker", "yes"), ("diabetes", "2"), ("bp_treated", "true")],
+)
+def test_trial_reader_rejects_unknown_categories(tmp_path, column, value):
+    # Before this check, "hispanic" read as "hispa", and "F" or "yes" as male or false.
+    write_trial_csv(_small_trial(), tmp_path / "trial.csv")
+    lines = (tmp_path / "trial.csv").read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[TRIAL_COLUMNS.index(column)] = value
+    lines[3] = ",".join(fields)
+    (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(IngestionError, match=f"line 4: {column}: '{value}' is not one of"):
+        read_trial_csv(tmp_path / "bad.csv")
+
+
 MATRIX_TEXT = (
     "patient_index,version_id,threshold,raw_risk,shifted_risk\n"
     "1,0,0.1,0.2,0.1\n"
@@ -277,6 +300,8 @@ PAIRS = [(0, 0.1), (1, 0.12)]
         (1, "1,0.5,0.1,0.2,0.1", "version_id 0.5 is not an integer"),
         (2, "1,1,0.12,0.3", "number of columns"),
         (3, "", "covers 1 patients, expected 2"),
+        (2, "1,1,0.12,0.3,0.19", r"data row 2: shifted_risk 0.19 is not raw_risk - threshold \(0.18\)"),
+        (3, "2,0,0.1,0.05,-0.0", "data row 3: shifted_risk -0.0 is not raw_risk - threshold"),
     ],
 )
 def test_matrix_reader_raises_config_error(tmp_path, line, replacement, message):
@@ -286,6 +311,23 @@ def test_matrix_reader_raises_config_error(tmp_path, line, replacement, message)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match=message):
         import_matrix_csv(path, PAIRS)
+
+
+def test_matrix_reader_rejects_one_version_with_two_raw_risks(tmp_path):
+    # Version 0 at two thresholds: both columns must carry the same raw risks.
+    rows = [(1, 0, 0.1, 0.2), (1, 0, 0.12, 0.2), (2, 0, 0.1, 0.05), (2, 0, 0.12, 0.05)]
+    lines = ["patient_index,version_id,threshold,raw_risk,shifted_risk"]
+    lines += [f"{k},{v},{t!r},{r!r},{r - t!r}" for k, v, t, r in rows]
+    path = tmp_path / "matrix.csv"
+    path.write_text("\n".join(lines) + "\n")
+    pairs = [(0, 0.1), (0, 0.12)]
+    matrix = import_matrix_csv(path, pairs)
+    assert matrix.raw.tolist() == [[0.2], [0.05]] and matrix.version_index.tolist() == [0, 0]
+    lines[4] = f"2,0,0.12,0.06,{0.06 - 0.12!r}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=r"matrix column \(0, 0.12\) has raw_risk 0.06 for patient 2, "
+                                          r"but 0.05 in another column of version 0"):
+        import_matrix_csv(path, pairs)
 
 
 def test_matrix_reader_rejects_bad_header_empty_body_and_unknown_pair(tmp_path):

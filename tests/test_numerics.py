@@ -19,8 +19,6 @@ from adaptrd.numerics import (
     choose_knots,
     fit_glm,
     gaussian_kernel_weights,
-    glm_linear_predictor,
-    glm_mean,
     inverse_link,
     natural_cubic_basis,
     normal_cdf,
@@ -127,13 +125,14 @@ class TestGlm:
 
     def test_linear_predictor_and_means(self):
         fit = fit_glm(GlmSpec(GAUSSIAN, np.ones((10, 1)), np.full(10, 3.0)))
-        assert abs(glm_linear_predictor(fit, np.array([2.0])) - 6.0) < 1e-10
-        zero = fit
-        zero.theta = np.array([0.0])
-        assert glm_mean(zero, np.array([1.0]), LOGIT) == pytest.approx(0.5)
-        assert glm_mean(zero, np.array([1.0]), CLOGLOG) == pytest.approx(1 - math.exp(-1))
-        zero.theta = np.array([1.7])
-        assert glm_mean(zero, np.array([1.0]), GAUSSIAN) == pytest.approx(1.7)
+        assert abs(float(np.array([2.0]) @ fit.theta) - 6.0) < 1e-10
+
+        def mean(theta, family):
+            return float(inverse_link(np.array([[1.0]]) @ theta, family)[0])
+
+        assert mean(np.array([0.0]), LOGIT) == pytest.approx(0.5)
+        assert mean(np.array([0.0]), CLOGLOG) == pytest.approx(1 - math.exp(-1))
+        assert mean(np.array([1.7]), GAUSSIAN) == pytest.approx(1.7)
 
 
 class TestSplines:

@@ -15,7 +15,6 @@ from adaptrd.outcomes import (
     attendance_prob,
     cholesterol_mean,
     draw_noise,
-    draw_outcome,
     outcomes_from_noise,
     true_local_ate,
     true_smoothed_ate,
@@ -104,12 +103,18 @@ class TestAscvd:
         assert value == pytest.approx(0.24912814326087362, abs=1e-12)
 
 
+def draw_one(model: OutcomeModel, r1: float, a: int, stream: SeedStream) -> float:
+    """One patient's outcome through the batch noise-then-transform path."""
+    noise = draw_noise(model, stream, 1)
+    return float(outcomes_from_noise(model, np.array([r1]), np.array([a]), noise)[0])
+
+
 class TestDraws:
     def test_probability_zero_and_one_degenerate(self):
         model = OutcomeModel("ascvd", AscvdParams(gamma1=-50.0, gamma2=0.0, gamma3=0.0))
-        assert draw_outcome(model, 0.5, 0, SeedStream(1)) == 0.0
+        assert draw_one(model, 0.5, 0, SeedStream(1)) == 0.0
         model = OutcomeModel("ascvd", AscvdParams(gamma1=50.0, gamma2=0.0, gamma3=0.0))
-        assert draw_outcome(model, 0.5, 0, SeedStream(1)) == 1.0
+        assert draw_one(model, 0.5, 0, SeedStream(1)) == 1.0
 
     def test_binomial_mean_oracle(self):
         # 10k draws at p=0.3: sample mean within 3*sqrt(p(1-p)/n)
@@ -131,8 +136,8 @@ class TestDraws:
 
     def test_draws_reproducible(self):
         model = OutcomeModel("ascvd")
-        a = draw_outcome(model, 0.3, 1, SeedStream(11, (4,)))
-        b = draw_outcome(model, 0.3, 1, SeedStream(11, (4,)))
+        a = draw_one(model, 0.3, 1, SeedStream(11, (4,)))
+        b = draw_one(model, 0.3, 1, SeedStream(11, (4,)))
         assert a == b
 
     def test_baseline_risk_range_validated(self):

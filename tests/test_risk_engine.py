@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from adaptrd.cohort import DEFAULT_COHORT_PARAMS, PatientCovariates, sample_cohort
+from adaptrd.cohort import DEFAULT_COHORT_PARAMS, CohortTable, PatientCovariates, sample_cohort
 from adaptrd.errors import ConfigError, NumericError, ValidationError
+from adaptrd.harness import run_scenario, scenario_preset
 from adaptrd.risk_engine import (
     GLM_UNSTRATIFIED,
     PCE_STRATIFIED,
@@ -16,21 +17,19 @@ from adaptrd.risk_engine import (
     PceCoefficientSet,
     RiskModelVersion,
     SubgroupCoefficients,
-    assign_treatment,
     build_counterfactual_matrix,
     export_matrix_csv,
     import_matrix_csv,
     load_coefficients_file,
     load_default_coefficients,
     original_pce_model,
-    pce_linear_predictor,
     pce_risk,
-    predict_risk,
     predict_risk_batch,
     recalibrated_coefficients,
     subgroup_for,
 )
 from adaptrd.seeds import SeedStream
+from oracles import pce_linear_predictor
 
 
 def make_patient(**overrides) -> PatientCovariates:
@@ -50,14 +49,25 @@ def constant_coeffs(terms=None) -> PceCoefficientSet:
     )
 
 
+def predict_one(model: RiskModelVersion, patient: PatientCovariates) -> float:
+    return float(predict_risk_batch(model, CohortTable.from_patients([patient]))[0])
+
+
+def scored_lp(patient: PatientCovariates, coeffs: PceCoefficientSet) -> float:
+    """The linear predictor behind the batch risk, by inverting 1 - s0^exp(lp - lp_bar)."""
+    sg = coeffs.subgroups[subgroup_for(patient)]
+    risk = predict_one(RiskModelVersion(0, PCE_STRATIFIED, "original", coefficients=coeffs), patient)
+    return math.log(math.log1p(-risk) / math.log(sg.s0)) + sg.lp_bar
+
+
 class TestLinearPredictor:
     def test_all_zero_coefficients(self):
-        assert pce_linear_predictor(make_patient(), constant_coeffs()) == 0.0
+        assert scored_lp(make_patient(), constant_coeffs()) == 0.0
 
     def test_single_log_age_term(self):
         age = math.exp(4.0)  # ~54.6, inside [40, 79]
         coeffs = constant_coeffs({"ln_age": 1.0})
-        lp = pce_linear_predictor(make_patient(age=age), coeffs)
+        lp = scored_lp(make_patient(age=age), coeffs)
         assert abs(lp - 4.0) < 1e-12
 
     def test_reference_patient_hand_computation(self):
@@ -77,7 +87,7 @@ class TestLinearPredictor:
             + (-1.665) * la * 1.0
             + 0.661 * 1.0
         )
-        lp = pce_linear_predictor(p, load_default_coefficients())
+        lp = scored_lp(p, load_default_coefficients())
         assert abs(lp - by_hand) < 1e-10
 
     def test_published_worked_examples(self):
@@ -93,7 +103,7 @@ class TestLinearPredictor:
         }
         for (sex, race), expected in cases.items():
             p = PatientCovariates(55.0, sex, race, 120.0, 213.0, 50.0, False, False, False)
-            assert predict_risk(model, p) == pytest.approx(expected, abs=0.001)
+            assert predict_one(model, p) == pytest.approx(expected, abs=0.001)
 
 
 class TestPceRisk:
@@ -125,43 +135,59 @@ class TestPredictRisk:
             version_id=1, kind=GLM_UNSTRATIFIED, provenance="revised",
             glm_theta=np.zeros(len(UNSTRATIFIED_TERMS)),
         )
-        assert predict_risk(model, make_patient()) == pytest.approx(1 - math.exp(-1), abs=1e-12)
+        assert predict_one(model, make_patient()) == pytest.approx(1 - math.exp(-1), abs=1e-12)
 
     def test_stratified_composition(self):
+        # the batch PCE against the scalar formula, for one patient of each subgroup
         model = original_pce_model()
-        p = make_patient()
-        sg = model.coefficients.subgroups[subgroup_for(p)]
-        expected = pce_risk(pce_linear_predictor(p, model.coefficients), sg.s0, sg.lp_bar)
-        assert predict_risk(model, p) == pytest.approx(expected, abs=1e-15)
+        table = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(3), 50)
+        batch = predict_risk_batch(model, table)
+        patients = [make_patient()] + table.patients()
+        assert {subgroup_for(p) for p in patients} == set(SUBGROUPS)
+        for risk, p in zip([predict_one(model, make_patient())] + batch.tolist(), patients):
+            sg = model.coefficients.subgroups[subgroup_for(p)]
+            expected = pce_risk(pce_linear_predictor(p, model.coefficients), sg.s0, sg.lp_bar)
+            assert risk == pytest.approx(expected, abs=1e-15)
 
     def test_race_other_uses_white_model(self):
         model = original_pce_model()
         white = make_patient(race="white")
         other = make_patient(race="other")
         assert subgroup_for(other) == "white_female"
-        assert predict_risk(model, white) == predict_risk(model, other)
+        assert predict_one(model, white) == predict_one(model, other)
 
     def test_batch_matches_scalar(self):
         model = original_pce_model()
         table = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(3), 50)
         batch = predict_risk_batch(model, table)
         for k in range(50):
-            assert batch[k] == pytest.approx(predict_risk(model, table.row(k)), abs=1e-15)
+            assert batch[k] == pytest.approx(predict_one(model, table.row(k)), abs=1e-15)
 
 
 class TestAssignTreatment:
+    """run_scenario treats a patient iff the shifted risk is at or above zero."""
+
+    @staticmethod
+    def _trial(**overrides):
+        return run_scenario(scenario_preset(4, seed=2, n_patients=200, warmup=100, **overrides))
+
+    def _first_patient(self, threshold):
+        # Patient 1 is scored by the original model whatever the threshold.
+        trial = self._trial(initial_threshold=threshold)
+        return trial.shifted_risk[0], trial.treatment[0]
+
     def test_tie_treats(self):
-        assert assign_treatment(0.0) == 1
+        assert self._first_patient(self._trial().raw_risk[0]) == (0.0, 1)
 
     def test_just_below_untreated(self):
-        assert assign_treatment(-1e-9) == 0
+        shifted, treated = self._first_patient(float(np.nextafter(self._trial().raw_risk[0], 1.0)))
+        assert shifted < 0.0 and treated == 0
 
     def test_above_treated(self):
-        assert assign_treatment(0.05) == 1
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(NumericError):
-            assign_treatment(float("inf"))
+        trial = self._trial()
+        assert np.array_equal(trial.treatment, (trial.shifted_risk >= 0.0).astype(int))
+        shifted, treated = self._first_patient(trial.raw_risk[0] - 0.05)
+        assert shifted > 0.0 and treated == 1
 
 
 class TestCoefficientTable:
@@ -214,8 +240,8 @@ class TestModelHistory:
             history.append(model, 1.5)
         history.append(model, 0.1)
         assert len(history) == 1
-        assert history.threshold_for(1) == 0.1
-        assert history.model_for(1) is model
+        assert history.thresholds.tolist() == [0.1]
+        assert history.models == [model] and history.column_map().tolist() == [0]
 
     def test_distinct_pairs_in_first_use_order(self):
         history = ModelHistory()
@@ -247,13 +273,10 @@ class TestModelHistory:
         assert np.array_equal(blocked.column_map(), single.column_map())
         assert blocked.column_map().tolist() == [0] * 5 + [1] * 4 + [2] + [3] * 5
         assert np.array_equal(blocked.thresholds, single.thresholds)
-        for j in (1, 3, 4, 5, 6, 9, 10, 11, 15):  # both sides of every segment edge
-            assert blocked.model_for(j) is single.model_for(j)
-            assert blocked.threshold_for(j) == single.threshold_for(j)
-        assert blocked.model_for(10) is recal and blocked.threshold_for(9) == 0.2
-        for j in (0, 16):
-            with pytest.raises(IndexError):
-                blocked.model_for(j)
+        assert blocked.thresholds.tolist() == [0.1] * 5 + [0.2] * 5 + [0.15] * 5
+        assert blocked.models == single.models == [original, recal]
+        model_of = [blocked.distinct_pairs()[d][0] for d in blocked.column_map()]
+        assert model_of == [0] * 9 + [1] * 6
 
     def test_repeated_pair_maps_to_its_first_column(self):
         model = original_pce_model()
@@ -262,7 +285,7 @@ class TestModelHistory:
             history.append(model, thr, count)
         assert history.distinct_pairs() == [(0, 0.1), (0, 0.2), (0, 0.3)]
         assert history.column_map().tolist() == [0, 0, 1, 1, 1, 0, 0, 0, 0, 2, 1, 1]
-        assert history.threshold_for(6) == 0.1 and history.threshold_for(11) == 0.2
+        assert history.thresholds[5] == 0.1 and history.thresholds[10] == 0.2
 
     def test_zero_count_rejected(self):
         history = ModelHistory()
@@ -284,7 +307,8 @@ class TestCounterfactualMatrix:
         table = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(7), 60)
         matrix = build_counterfactual_matrix(self._history(60), table)
         assert matrix.n_distinct == 1
-        assert matrix.shifted.shape == (60, 1)
+        assert matrix.raw.shape == (60, 1)
+        assert matrix.shifted_column(0).shape == (60,)
 
     def test_diagonal_consistency(self):
         table = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(9), 80)
@@ -293,7 +317,8 @@ class TestCounterfactualMatrix:
         model = original_pce_model()
         raw = predict_risk_batch(model, table)
         shifted = raw - np.asarray(thresholds)
-        assert np.max(np.abs(matrix.diagonal_shifted() - shifted)) < 1e-15
+        diagonal_shifted = [matrix.shifted_column(d)[k] for k, d in enumerate(matrix.column_map)]
+        assert np.max(np.abs(diagonal_shifted - shifted)) < 1e-15
         assert np.max(np.abs(matrix.diagonal_raw() - raw)) < 1e-15
 
     def test_two_versions_match_naive_per_cell_recomputation(self):
@@ -308,21 +333,24 @@ class TestCounterfactualMatrix:
         history = self._history(400, thresholds, models)
         matrix = build_counterfactual_matrix(history, table)
         assert matrix.n_distinct == 2
-        # oracle: per-cell recomputation through the scalar prediction path
+        assert matrix.raw.shape == (400, 2)
+        # oracle: per-cell recomputation, scoring one patient at a time
         for k in (0, 57, 199, 200, 399):
             pc = table.row(k)
             for j in (1, 200, 201, 400):
-                model = history.model_for(j)
-                expected = predict_risk(model, pc) - history.threshold_for(j)
-                assert matrix.shifted_entry(k + 1, j) == pytest.approx(expected, abs=1e-15)
+                expected = predict_one(models[j - 1], pc) - thresholds[j - 1]
+                got = matrix.shifted_column(matrix.column_map[j - 1])[k]
+                assert got == pytest.approx(expected, abs=1e-15)
 
     def test_same_model_different_thresholds_share_raw(self):
         table = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(13), 50)
         thresholds = [0.1] * 25 + [0.2] * 25
         matrix = build_counterfactual_matrix(self._history(50, thresholds), table)
         assert matrix.n_distinct == 2
-        assert np.array_equal(matrix.raw[:, 0], matrix.raw[:, 1])
-        assert np.allclose(matrix.shifted[:, 0] - matrix.shifted[:, 1], 0.1)
+        assert matrix.raw.shape == (50, 1)
+        assert matrix.version_index.tolist() == [0, 0]
+        assert matrix.thresholds.tolist() == [0.1, 0.2]
+        assert np.allclose(matrix.shifted_column(0) - matrix.shifted_column(1), 0.1)
 
     def test_export_import_roundtrip(self, tmp_path):
         table = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(15), 30)
@@ -333,9 +361,8 @@ class TestCounterfactualMatrix:
         export_matrix_csv(matrix, path)
         pairs = [(0, 0.1)] * 15 + [(0, 0.12)] * 15
         back = import_matrix_csv(path, pairs)
-        assert np.array_equal(back.shifted, matrix.shifted)
-        assert np.array_equal(back.raw, matrix.raw)
-        assert np.array_equal(back.column_map, matrix.column_map)
+        for name in ("raw", "version_ids", "version_index", "thresholds", "column_map"):
+            assert np.array_equal(getattr(back, name), getattr(matrix, name)), name
 
     def test_history_length_mismatch_rejected(self):
         table = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(17), 10)
@@ -352,7 +379,6 @@ class TestCounterfactualMatrix:
         history = self._history(40, [0.1] * 20 + [0.15] * 20, [original] * 20 + [recal] * 20)
         scored = build_counterfactual_matrix(history, table)
         exact = build_counterfactual_matrix(history, table, {0: predict_risk_batch(original, table)})
-        assert np.array_equal(exact.shifted, scored.shifted)
         assert np.array_equal(exact.raw, scored.raw)
         # The given risks are used as they are; version 1 is still scored.
         given = np.linspace(0.01, 0.4, 40)
