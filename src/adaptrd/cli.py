@@ -142,22 +142,16 @@ def _infer_estimator_config(args, outcomes: np.ndarray) -> EstimatorConfig:
     return EstimatorConfig(family=LOGIT if binary else GAUSSIAN)
 
 
-# Logged risks were scored block by block and the matrix's over the whole
-# cohort; GLM scoring is not bitwise slice-invariant, so they agree only to
-# rounding.
-SAME_RUN_TOLERANCE = 1e-12
-
-
 def _check_same_run(logged, matrix) -> None:
-    """Raise ConfigError unless the matrix's diagonal reproduces the logged risks."""
+    """Raise ConfigError unless the matrix's diagonal reproduces the logged risks bit for bit."""
     raw = matrix.diagonal_raw()
     for name, ours, theirs in (
         ("raw_risk", raw, logged.raw_risk),
         ("shifted_risk", raw - matrix.thresholds[matrix.column_map], logged.shifted_risk),
     ):
-        far = ~(np.abs(ours - theirs) <= SAME_RUN_TOLERANCE)
-        if far.any():
-            k = int(np.argmax(far))
+        differs = ours.view(np.uint64) != theirs.view(np.uint64)
+        if differs.any():
+            k = int(np.argmax(differs))
             raise ConfigError(
                 f"matrix file does not match the trial file: patient {k + 1}'s {name} is "
                 f"{float(theirs[k])!r} in the trial file but {float(ours[k])!r} in the matrix"

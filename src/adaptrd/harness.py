@@ -155,10 +155,10 @@ def run_scenario(config: ScenarioConfig, stream: Optional[SeedStream] = None) ->
 
     original = _original_model(config)
     baseline_risk = predict_risk_batch(original, covariates)
-    # Whole-cohort raw risks already scored, by model version; a block, or an
-    # NNT update's prefix matrix, under one of these versions takes its rows
-    # instead of scoring them again.
-    known_raw = {original.version_id: baseline_risk}
+    # Whole-cohort raw risks by model version, each version scored once when
+    # it is created. A row's score reads only that patient's covariates, so
+    # scoring later rows early reads nothing from the future.
+    scored = {original.version_id: baseline_risk}
     clamp_stats = ClampStats()
 
     current_model = original
@@ -180,11 +180,7 @@ def run_scenario(config: ScenarioConfig, stream: Optional[SeedStream] = None) ->
     for end in boundaries:
         if end <= start:
             continue
-        scored = known_raw.get(current_model.version_id)
-        if scored is not None:
-            risks = scored[start:end]
-        else:
-            risks = predict_risk_batch(current_model, covariates.slice(start, end))
+        risks = scored[current_model.version_id][start:end]
         raw_risk[start:end] = risks
         shifted_risk[start:end] = risks - current_threshold
         treatment[start:end] = (shifted_risk[start:end] >= 0.0).astype(int)
@@ -205,16 +201,16 @@ def run_scenario(config: ScenarioConfig, stream: Optional[SeedStream] = None) ->
         # Threshold first (reads only logged history), then the model.
         if m in thr_idx:
             current_threshold = _apply_threshold_update(
-                config, m, covariates, history, known_raw, raw_risk, treatment,
-                outcome, current_threshold, events,
+                config, m, history, scored, raw_risk, treatment, outcome,
+                current_threshold, events,
             )
         if m in mdl_idx:
             current_model, next_version_id = _apply_model_update(
                 config, m, covariates, treatment, outcome, original,
-                current_model, next_version_id, events,
+                current_model, next_version_id, events, scored,
             )
 
-    matrix = build_counterfactual_matrix(history, covariates, known_raw)
+    matrix = build_counterfactual_matrix(history, scored)
     return TrialData(
         config=config,
         covariates=covariates,
@@ -233,8 +229,7 @@ def run_scenario(config: ScenarioConfig, stream: Optional[SeedStream] = None) ->
 
 
 def _apply_threshold_update(
-    config, m, covariates, history, known_raw, raw_risk, treatment, outcome,
-    current_threshold, events,
+    config, m, history, scored, raw_risk, treatment, outcome, current_threshold, events,
 ) -> float:
     strategy = config.threshold_strategy
     try:
@@ -243,8 +238,7 @@ def _apply_threshold_update(
             detail = f"rate_target={strategy.target_rate!r}"
         else:
             new, detail = _nnt_threshold(
-                config, m, covariates, history, known_raw, treatment, outcome,
-                current_threshold, strategy,
+                config, m, history, scored, treatment, outcome, current_threshold, strategy
             )
         if not 0.0 < new < 1.0:
             raise ConfigError(f"proposed threshold {new!r} outside (0, 1)")
@@ -258,11 +252,9 @@ def _apply_threshold_update(
 
 
 def _nnt_threshold(
-    config, m, covariates, history, known_raw, treatment, outcome, current_threshold, strategy
+    config, m, history, scored, treatment, outcome, current_threshold, strategy
 ) -> tuple[float, str]:
-    prefix = covariates.slice(0, m)
-    prefix_raw = {version: raw[:m] for version, raw in known_raw.items()}
-    matrix = build_counterfactual_matrix(history, prefix, prefix_raw)
+    matrix = build_counterfactual_matrix(history, scored)  # the m patients so far
     surface = fit_outcome_surface(matrix, treatment[:m], outcome[:m], config.estimator)
     grid = default_grid(matrix.focal_shifted, 101)
     curve = effect_curve(surface, matrix, grid, config.estimator)
@@ -282,7 +274,7 @@ def _nnt_threshold(
 
 def _apply_model_update(
     config, m, covariates, treatment, outcome, original, current_model,
-    next_version_id, events,
+    next_version_id, events, scored,
 ):
     strategy = config.model_strategy
     prefix = covariates.slice(0, m)
@@ -304,6 +296,7 @@ def _apply_model_update(
             )
         )
         return current_model, next_version_id
+    scored[new_model.version_id] = predict_risk_batch(new_model, covariates)
     detail = ",".join(f"{k}={v!r}" for k, v in sorted(new_model.fit_details.items()))
     events.append(
         AdaptationEvent(m, "model_update", current_model.version_id, new_model.version_id, detail)

@@ -358,30 +358,25 @@ class CounterfactualRiskMatrix:
 
 
 def build_counterfactual_matrix(
-    history: ModelHistory,
-    table: CohortTable,
-    known_raw: Optional[dict[int, np.ndarray]] = None,
+    history: ModelHistory, scored: dict[int, np.ndarray]
 ) -> CounterfactualRiskMatrix:
-    """Score every patient under every model version in ``history``.
+    """Assemble the matrix of the patients in ``history`` from scored risks.
 
-    Each model version is scored once, whatever the number of thresholds
-    paired with it, so storage and compute are O(n x versions) rather than
-    O(n^2). ``known_raw`` maps a version id to the raw risks of these
-    patients under that version, which are then used instead of scoring the
-    patients again.
+    ``scored`` maps each model version id in ``history`` to raw risks under
+    that version, of which the first ``len(history)`` belong to the history's
+    patients in order. Each version is one column, whatever the number of
+    thresholds paired with it, so storage is O(n x versions) rather than
+    O(n^2). Nothing is scored here.
     """
-    n = len(table)
-    if len(history) != n:
-        raise ValidationError(
-            f"history covers {len(history)} patients but {n} were supplied"
-        )
-    known_raw = known_raw or {}
-    if any(np.shape(raw) != (n,) for raw in known_raw.values()):
-        raise ValidationError(f"known raw risks must have one value for each of {n} patients")
+    n = len(history)
     columns = []
     for model in history.models:
-        scored = known_raw.get(model.version_id)
-        columns.append(predict_risk_batch(model, table) if scored is None else scored)
+        raw = scored.get(model.version_id)
+        if raw is None or len(raw) < n:
+            raise ValidationError(
+                f"model version {model.version_id} needs scored risks for the history's {n} patients"
+            )
+        columns.append(raw[:n])
     pairs = history.distinct_pairs()
     return CounterfactualRiskMatrix(
         raw=np.column_stack(columns),

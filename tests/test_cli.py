@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -159,23 +160,38 @@ class TestSameRunCheck:
         assert code == 2
         assert "matrix file does not match the trial file: patient 1's raw_risk" in capsys.readouterr().err
 
-    def test_risks_that_agree_to_rounding_exit_0(self, tmp_path):
-        # With updates every 75 patients, GLM scoring of a logged block and of
-        # the whole cohort differ in the last bits for a few patients.
+    def test_update_every_75_risks_agree_bitwise_exit_0(self, tmp_path):
+        # Each model version is scored once over the whole cohort, so the
+        # logged risks are the matrix diagonal bit for bit, whatever the
+        # update cadence.
         out = tmp_path / "run"
         assert run_cli("simulate", "--config", "scenario5", "--out", str(out),
                        "--override", "update_every=75", "--override", "model_strategy.update_every=75",
                        *SMALL) == 0
         logged = read_trial_csv(out / "trial.csv")
         diagonal = import_matrix_csv(out / "matrix.csv", logged.column_pairs).diagonal_raw()
-        assert (diagonal != logged.raw_risk).any()
-        assert np.abs(diagonal - logged.raw_risk).max() < 1e-13
+        assert np.array_equal(diagonal.view(np.uint64), logged.raw_risk.view(np.uint64))
         replay = tmp_path / "replay"
         code = run_cli("estimate", "--trial", str(out / "trial.csv"),
                        "--matrix", str(out / "matrix.csv"),
                        "--config", "scenario5", "--out", str(replay))
         assert code == 0
         assert (out / "curve.csv").read_bytes() == (replay / "curve.csv").read_bytes()
+
+    def test_raw_risk_one_ulp_off_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--config", "scenario5", "--out", str(out), *SMALL) == 0
+        with (out / "trial.csv").open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        col = rows[0].index("raw_risk")
+        rows[300][col] = repr(math.nextafter(float(rows[300][col]), 1.0))
+        with (out / "trial.csv").open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        code = run_cli("estimate", "--trial", str(out / "trial.csv"),
+                       "--matrix", str(out / "matrix.csv"),
+                       "--config", "scenario5", "--out", str(tmp_path / "z"))
+        assert code == 2
+        assert "patient 300's raw_risk" in capsys.readouterr().err
 
 
 class TestMangledMatrix:

@@ -67,7 +67,7 @@ def two_column_matrix(n=600, seed=5):
     model = original_pce_model()
     for j in range(n):
         history.append(model, 0.10 if j < n // 2 else 0.15)
-    return table, build_counterfactual_matrix(history, table)
+    return table, build_counterfactual_matrix(history, {0: predict_risk_batch(model, table)})
 
 
 def simulated_static_trial(n=800, seed=3, sigma=1.0):

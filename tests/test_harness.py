@@ -172,6 +172,49 @@ class TestRunScenario:
         assert trial.history.models[0].provenance == "original"
         assert all(m.provenance == "revised" for m in trial.history.models[1:])
 
+    def test_each_model_version_is_scored_once(self, monkeypatch):
+        import adaptrd.harness as harness
+        import adaptrd.risk_engine as risk_engine
+
+        rows = []
+
+        def counted(model, table):
+            rows.append(len(table))
+            return risk_engine.predict_risk_batch(model, table)
+
+        def forbidden(model, table):
+            raise AssertionError("build_counterfactual_matrix must not score")
+
+        monkeypatch.setattr(harness, "predict_risk_batch", counted)
+        trial = run_scenario(small_preset(5, n=900))
+        assert len(trial.history.models) >= 2
+        assert rows == [900] * len(trial.history.models)
+        monkeypatch.setattr(risk_engine, "predict_risk_batch", forbidden)
+        matrix = harness.build_counterfactual_matrix(trial.history, {
+            m.version_id: trial.matrix.raw[:, v] for v, m in enumerate(trial.history.models)
+        })
+        assert np.array_equal(matrix.raw, trial.matrix.raw)
+
+    def test_rows_after_m_do_not_reach_the_first_m(self, tmp_path):
+        # Each new model version scores the whole cohort when it is created,
+        # so later patients are scored early; nothing up to row 800 may
+        # depend on them.
+        from adaptrd.cohort import DEFAULT_COHORT_PARAMS, sample_cohort, save_cohort_csv
+
+        head = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(81), 900).patients()
+        tail = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(82), 100).patients()
+        trials = []
+        for name, patients in (("a", head), ("b", head[:800] + tail)):
+            path = tmp_path / f"{name}.csv"
+            save_cohort_csv(path, patients)
+            trials.append(run_scenario(small_preset(5, n=900, cohort_csv=str(path))))
+        a, b = trials
+        assert not np.array_equal(a.raw_risk[800:], b.raw_risk[800:])
+        for field in ("raw_risk", "shifted_risk", "model_version", "threshold", "treatment", "outcome"):
+            assert np.array_equal(getattr(a, field)[:800], getattr(b, field)[:800]), field
+        early = [[e for e in t.events if e.index <= 800] for t in trials]
+        assert early[0] and early[0] == early[1]
+
     def test_baseline_risk_is_original_model(self):
         from adaptrd.risk_engine import original_pce_model, predict_risk_batch
 

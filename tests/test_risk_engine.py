@@ -303,9 +303,23 @@ class TestCounterfactualMatrix:
             history.append(model, thr)
         return history
 
+    @staticmethod
+    def _scored(history, table):
+        return {m.version_id: predict_risk_batch(m, table) for m in history.models}
+
+    def _two_versions(self, n):
+        original = original_pce_model()
+        recal = RiskModelVersion(
+            1, PCE_STRATIFIED, "recalibrated",
+            coefficients=recalibrated_coefficients(original.coefficients, -0.2, 0.9),
+        )
+        half = n // 2
+        return self._history(n, [0.1] * half + [0.15] * half, [original] * half + [recal] * half)
+
     def test_static_pair_gives_single_column(self):
         table = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(7), 60)
-        matrix = build_counterfactual_matrix(self._history(60), table)
+        history = self._history(60)
+        matrix = build_counterfactual_matrix(history, self._scored(history, table))
         assert matrix.n_distinct == 1
         assert matrix.raw.shape == (60, 1)
         assert matrix.shifted_column(0).shape == (60,)
@@ -313,7 +327,8 @@ class TestCounterfactualMatrix:
     def test_diagonal_consistency(self):
         table = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(9), 80)
         thresholds = [0.1] * 40 + [0.2] * 40
-        matrix = build_counterfactual_matrix(self._history(80, thresholds), table)
+        history = self._history(80, thresholds)
+        matrix = build_counterfactual_matrix(history, self._scored(history, table))
         model = original_pce_model()
         raw = predict_risk_batch(model, table)
         shifted = raw - np.asarray(thresholds)
@@ -331,7 +346,7 @@ class TestCounterfactualMatrix:
         models = [original] * 200 + [recal] * 200
         thresholds = [0.1] * 200 + [0.15] * 200
         history = self._history(400, thresholds, models)
-        matrix = build_counterfactual_matrix(history, table)
+        matrix = build_counterfactual_matrix(history, self._scored(history, table))
         assert matrix.n_distinct == 2
         assert matrix.raw.shape == (400, 2)
         # oracle: per-cell recomputation, scoring one patient at a time
@@ -345,7 +360,8 @@ class TestCounterfactualMatrix:
     def test_same_model_different_thresholds_share_raw(self):
         table = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(13), 50)
         thresholds = [0.1] * 25 + [0.2] * 25
-        matrix = build_counterfactual_matrix(self._history(50, thresholds), table)
+        history = self._history(50, thresholds)
+        matrix = build_counterfactual_matrix(history, self._scored(history, table))
         assert matrix.n_distinct == 2
         assert matrix.raw.shape == (50, 1)
         assert matrix.version_index.tolist() == [0, 0]
@@ -356,7 +372,7 @@ class TestCounterfactualMatrix:
         table = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(15), 30)
         thresholds = [0.1] * 15 + [0.12] * 15
         history = self._history(30, thresholds)
-        matrix = build_counterfactual_matrix(history, table)
+        matrix = build_counterfactual_matrix(history, self._scored(history, table))
         path = tmp_path / "matrix.csv"
         export_matrix_csv(matrix, path)
         pairs = [(0, 0.1)] * 15 + [(0, 0.12)] * 15
@@ -365,37 +381,49 @@ class TestCounterfactualMatrix:
             assert np.array_equal(getattr(back, name), getattr(matrix, name)), name
 
     def test_history_length_mismatch_rejected(self):
-        table = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(17), 10)
-        with pytest.raises(ValidationError):
-            build_counterfactual_matrix(self._history(8), table)
+        table = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(17), 8)
+        history = self._history(10)
+        with pytest.raises(ValidationError, match="10 patients"):
+            build_counterfactual_matrix(history, self._scored(history, table))
 
-    def test_known_raw_replaces_scoring_of_its_version(self):
+    def test_given_risks_are_used_verbatim(self):
         table = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(19), 40)
-        original = original_pce_model()
-        recal = RiskModelVersion(
-            1, PCE_STRATIFIED, "recalibrated",
-            coefficients=recalibrated_coefficients(original.coefficients, -0.2, 0.9),
-        )
-        history = self._history(40, [0.1] * 20 + [0.15] * 20, [original] * 20 + [recal] * 20)
-        scored = build_counterfactual_matrix(history, table)
-        exact = build_counterfactual_matrix(history, table, {0: predict_risk_batch(original, table)})
-        assert np.array_equal(exact.raw, scored.raw)
-        # The given risks are used as they are; version 1 is still scored.
-        given = np.linspace(0.01, 0.4, 40)
-        matrix = build_counterfactual_matrix(history, table, {0: given})
-        assert np.array_equal(matrix.raw[:, 0], given)
-        assert np.array_equal(matrix.raw[:, 1], scored.raw[:, 1])
+        history = self._two_versions(40)
+        scored = self._scored(history, table)
+        matrix = build_counterfactual_matrix(history, scored)
+        assert np.array_equal(matrix.raw, np.column_stack([scored[0], scored[1]]))
+        # Nothing is rescored: arbitrary given risks come back as they are.
+        given = {0: np.linspace(0.01, 0.4, 40), 1: scored[1]}
+        matrix = build_counterfactual_matrix(history, given)
+        assert np.array_equal(matrix.raw[:, 0], given[0])
+        assert np.array_equal(matrix.raw[:, 1], scored[1])
 
-    def test_known_raw_of_wrong_length_rejected(self):
+    def test_longer_risks_contribute_their_first_rows(self):
+        # An NNT update assembles the matrix of the first m patients from
+        # whole-cohort risks.
+        table = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(20), 100)
+        history = self._two_versions(40)
+        scored = self._scored(history, table)
+        matrix = build_counterfactual_matrix(history, scored)
+        assert matrix.n_patients == 40
+        assert np.array_equal(matrix.raw, np.column_stack([scored[0][:40], scored[1][:40]]))
+        prefix = build_counterfactual_matrix(history, self._scored(history, table.slice(0, 40)))
+        assert np.array_equal(matrix.raw, prefix.raw)
+        assert np.array_equal(matrix.column_map, history.column_map())
+
+    def test_missing_or_short_risks_rejected(self):
         table = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(21), 10)
-        with pytest.raises(ValidationError, match="known raw risks"):
-            build_counterfactual_matrix(self._history(10), table, {0: np.full(9, 0.1)})
+        history = self._two_versions(10)
+        scored = self._scored(history, table)
+        with pytest.raises(ValidationError, match="model version 1"):
+            build_counterfactual_matrix(history, {0: scored[0]})
+        with pytest.raises(ValidationError, match="model version 0"):
+            build_counterfactual_matrix(history, {0: scored[0][:9], 1: scored[1]})
 
 
 def test_pce_scores_do_not_depend_on_the_rest_of_the_batch():
-    # run_scenario takes the original model's risks of a block from the
-    # whole-cohort scores; this is exact only if a row's score does not
-    # depend on which rows are scored with it.
+    # A row's PCE risk does not depend on which rows are scored with it, so
+    # scoring a block gives the block's rows of the whole-cohort scores.
     table = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(23), 3000)
     model = original_pce_model()
     full = predict_risk_batch(model, table)
