@@ -28,7 +28,6 @@ from .cohort import CohortTable
 from .errors import (
     ConfigError,
     DegenerateSupportError,
-    EffectiveSupportError,
     InsufficientDataError,
     ValidationError,
 )
@@ -257,23 +256,16 @@ def _effect_gradient(preds: ArmPredictions, weights: np.ndarray) -> np.ndarray:
     return preds.X1.T @ (weights * preds.d1) - preds.X0.T @ (weights * preds.d0)
 
 
-def _kernel_beta(
-    preds: ArmPredictions, r: float, config: EstimatorConfig
-) -> tuple[np.ndarray, float]:
-    """Kernel weights at ``r`` and the weighted effect; raises when ``r`` has no support."""
-    weights = gaussian_kernel_weights(preds.focal, r, config.bandwidth)
-    return weights, float(weights @ preds.effect)
-
-
 def _effect_at(
     surface: FittedOutcomeSurface,
     preds: ArmPredictions,
     r: float,
+    weights: np.ndarray,
     config: EstimatorConfig,
     z: float,
 ) -> EffectEstimate:
-    """Kernel-weighted local effect at ``r`` with its delta-method SE and ``z``-Wald CI."""
-    weights, beta = _kernel_beta(preds, r, config)
+    """Local effect at ``r`` from its kernel weights, with the delta-method SE and ``z``-Wald CI."""
+    beta = float(weights @ preds.effect)
     grad = _effect_gradient(preds, weights)
     quad = float(grad @ surface.fit.cov @ grad)
     if quad < -1e-10:
@@ -304,7 +296,26 @@ def estimate_effect(
 ) -> EffectEstimate:
     """Kernel-weighted local effect and arm means at shifted risk ``r``."""
     z = normal_quantile(0.5 + config.confidence / 2.0)
-    return _effect_at(surface, arm_predictions(surface, matrix), r, config, z)
+    preds = arm_predictions(surface, matrix)
+    weights = gaussian_kernel_weights(preds.focal, r, config.bandwidth)
+    return _effect_at(surface, preds, r, weights, config, z)
+
+
+# Grid points whose kernel weights are built together: the block is this
+# many rows by the number of patients, whatever the grid length.
+KERNEL_CHUNK_ROWS = 16
+
+
+def _kernel_chunks(focal: np.ndarray, grid: np.ndarray, bandwidth: float):
+    """Yield each chunk of ``grid`` with its ``KernelRows``, read before the next.
+
+    Every chunk's block is written into one buffer: allocating a fresh block
+    per chunk costs more than the kernel saves by working on blocks.
+    """
+    buffer = np.empty((min(grid.size, KERNEL_CHUNK_ROWS), focal.size))
+    for start in range(0, grid.size, KERNEL_CHUNK_ROWS):
+        chunk = grid[start : start + KERNEL_CHUNK_ROWS]
+        yield chunk, gaussian_kernel_weights(focal, chunk, bandwidth, out=buffer[: chunk.size])
 
 
 @dataclass(eq=False)
@@ -325,7 +336,12 @@ class EffectCurve:
     @functools.cached_property
     def estimates(self) -> list[EffectEstimate]:
         z = normal_quantile(0.5 + self.config.confidence / 2.0)
-        return [_effect_at(self.surface, self.preds, r, self.config, z) for r in self.r.tolist()]
+        out = []
+        for chunk, rows in _kernel_chunks(self.preds.focal, self.r, self.config.bandwidth):
+            # Every point of r is supported, so each has its row.
+            for r, weights in zip(chunk.tolist(), rows.weights):
+                out.append(_effect_at(self.surface, self.preds, r, weights, self.config, z))
+        return out
 
 
 def effect_curve(
@@ -339,15 +355,14 @@ def effect_curve(
     rs = []
     betas = []
     skipped = []
-    for r in np.asarray(grid, dtype=float).tolist():
-        try:
-            betas.append(_kernel_beta(preds, r, config)[1])
-        except EffectiveSupportError as exc:
-            skipped.append((r, str(exc)))
-        else:
-            rs.append(r)
+    for chunk, rows in _kernel_chunks(preds.focal, np.asarray(grid, dtype=float), config.bandwidth):
+        rs.append(chunk[rows.supported])
+        # One dot per row: a single matrix-vector product over the block
+        # would sum in another order and move the last bits.
+        betas.extend(float(weights @ preds.effect) for weights in rows.weights)
+        skipped.extend(rows.skipped)
     return EffectCurve(
-        r=np.asarray(rs, dtype=float),
+        r=np.concatenate(rs) if rs else np.empty(0),
         beta=np.asarray(betas, dtype=float),
         skipped=skipped,
         surface=surface,
@@ -358,8 +373,7 @@ def effect_curve(
 
 def default_grid(focal_risks: np.ndarray, points: int = 101) -> np.ndarray:
     """Evenly spaced grid over the central 98% of the focal risks."""
-    lo = float(np.quantile(focal_risks, 0.01))
-    hi = float(np.quantile(focal_risks, 0.99))
+    lo, hi = np.quantile(focal_risks, (0.01, 0.99)).tolist()
     if hi <= lo:
         raise DegenerateSupportError("risk support is degenerate")
     return np.linspace(lo, hi, points)

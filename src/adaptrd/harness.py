@@ -160,6 +160,7 @@ def run_scenario(config: ScenarioConfig, stream: Optional[SeedStream] = None) ->
     # scoring later rows early reads nothing from the future.
     scored = {original.version_id: baseline_risk}
     clamp_stats = ClampStats()
+    target_d = _nnt_target_d(config.threshold_strategy)
 
     current_model = original
     current_threshold = config.initial_threshold
@@ -202,7 +203,7 @@ def run_scenario(config: ScenarioConfig, stream: Optional[SeedStream] = None) ->
         if m in thr_idx:
             current_threshold = _apply_threshold_update(
                 config, m, history, scored, raw_risk, treatment, outcome,
-                current_threshold, events,
+                current_threshold, target_d, events,
             )
         if m in mdl_idx:
             current_model, next_version_id = _apply_model_update(
@@ -228,8 +229,22 @@ def run_scenario(config: ScenarioConfig, stream: Optional[SeedStream] = None) ->
     )
 
 
+def _nnt_target_d(strategy):
+    """Cohen's d of an NNT target, once per run: the same at every update.
+
+    An NNT with no d in the search window gives the error's message instead,
+    which each NNT update then reports where it would have computed d.
+    """
+    if not isinstance(strategy, NntTargetThreshold):
+        return None
+    try:
+        return nnt_to_cohens_d(strategy.nnt)
+    except ConfigError as exc:
+        return str(exc)
+
+
 def _apply_threshold_update(
-    config, m, history, scored, raw_risk, treatment, outcome, current_threshold, events,
+    config, m, history, scored, raw_risk, treatment, outcome, current_threshold, target_d, events,
 ) -> float:
     strategy = config.threshold_strategy
     try:
@@ -238,7 +253,8 @@ def _apply_threshold_update(
             detail = f"rate_target={strategy.target_rate!r}"
         else:
             new, detail = _nnt_threshold(
-                config, m, history, scored, treatment, outcome, current_threshold, strategy
+                config, m, history, scored, treatment, outcome, current_threshold, strategy,
+                target_d,
             )
         if not 0.0 < new < 1.0:
             raise ConfigError(f"proposed threshold {new!r} outside (0, 1)")
@@ -252,7 +268,7 @@ def _apply_threshold_update(
 
 
 def _nnt_threshold(
-    config, m, history, scored, treatment, outcome, current_threshold, strategy
+    config, m, history, scored, treatment, outcome, current_threshold, strategy, target_d
 ) -> tuple[float, str]:
     matrix = build_counterfactual_matrix(history, scored)  # the m patients so far
     surface = fit_outcome_surface(matrix, treatment[:m], outcome[:m], config.estimator)
@@ -267,7 +283,8 @@ def _nnt_threshold(
         (r + current_threshold, beta) for r, beta in zip(curve.r.tolist(), curve.beta.tolist())
     ]
     d_curve = cohens_d_curve(beta_curve, sd)
-    target_d = nnt_to_cohens_d(strategy.nnt)
+    if isinstance(target_d, str):
+        raise ConfigError(target_d)
     new = threshold_for_nnt(d_curve, target_d, current_threshold, strategy.smoothing)
     return new, f"nnt={strategy.nnt!r} target_d={target_d!r} pooled_sd={sd!r}"
 

@@ -282,14 +282,18 @@ def choose_knots(values: np.ndarray, df: int) -> SplineBasis:
     values = np.asarray(values, dtype=float)
     if df < 1:
         raise ValidationError("df must be >= 1")
-    distinct = np.unique(values)
-    if distinct.size < df + 2:
+    ordered = np.sort(values)
+    # Distinct values counted as np.unique counts them: the sorted values
+    # change at each new one, and the NaNs, sorted last, count once.
+    changes = int(np.count_nonzero(ordered[1:] != ordered[:-1]))
+    nans = int(np.count_nonzero(np.isnan(ordered)))
+    distinct = min(ordered.size, changes + 1 - max(nans - 1, 0))
+    if distinct < df + 2:
         raise DegenerateSupportError(
-            f"need at least {df + 2} distinct values for df={df}, got {distinct.size}"
+            f"need at least {df + 2} distinct values for df={df}, got {distinct}"
         )
-    lo, hi = float(values.min()), float(values.max())
-    qs = [m / df for m in range(1, df)]
-    interior = [float(np.quantile(values, q)) for q in qs]
+    lo, hi = float(ordered[0]), float(ordered[-1])
+    interior = np.quantile(ordered, [m / df for m in range(1, df)]).tolist()
     if any(not lo < k < hi for k in interior) or any(
         interior[i] >= interior[i + 1] for i in range(len(interior) - 1)
     ):
@@ -311,16 +315,23 @@ def natural_cubic_basis(x: np.ndarray, basis: SplineBasis) -> np.ndarray:
     out[:, 0] = x
     if K > 2:
         last = knots[-1]
+        tail = _positive_cube(x - last)
 
-        def d(k_idx):
-            k = knots[k_idx]
-            num = np.maximum(x - k, 0.0) ** 3 - np.maximum(x - last, 0.0) ** 3
-            return num / (last - k)
+        def d(k):
+            return (_positive_cube(x - k) - tail) / (last - k)
 
-        d_ref = d(K - 2)
+        d_ref = d(knots[K - 2])
         for j in range(K - 2):
-            out[:, j + 1] = d(j) - d_ref
+            out[:, j + 1] = d(knots[j]) - d_ref
     return out
+
+
+def _positive_cube(t: np.ndarray) -> np.ndarray:
+    """max(t, 0) ** 3, cubing only the positive entries: the rest are zeros already."""
+    t = np.maximum(t, 0.0)
+    positive = t > 0.0
+    t[positive] = t[positive] ** 3
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -421,35 +432,61 @@ def pca(matrix: np.ndarray, variance_threshold: float) -> PcaResult:
 KERNEL_SUPPORT_MULTIPLE = 12.0
 
 
-def gaussian_kernel_weights(values: np.ndarray, center: float, bandwidth: float) -> np.ndarray:
+class KernelRows(NamedTuple):
+    """Kernel weights at an array of centres, one row per supported centre."""
+
+    weights: np.ndarray  # (supported centres, values), each row normalized
+    supported: np.ndarray  # bool per centre
+    skipped: list  # (centre, reason) per centre without support, in order
+
+
+def _no_support_message(center) -> str:
+    return f"no values within {KERNEL_SUPPORT_MULTIPLE} bandwidths of r={center}"
+
+
+def gaussian_kernel_weights(values: np.ndarray, center, bandwidth: float, out=None):
     """Normalized Gaussian weights exp(-(v - center)^2 / (2 h^2)).
 
+    A scalar ``center`` gives one weight vector and raises
+    EffectiveSupportError when every value lies farther than 12 bandwidths
+    from it. An array of centres gives a ``KernelRows`` whose weight rows
+    are, bit for bit, the scalar call's vectors, and whose ``skipped`` lists
+    each centre without support with that error's message. The block holds
+    one row per centre, so callers pass centres a few at a time; ``out``, a
+    (centres, values) array, receives the block, so that a caller going
+    through many chunks allocates it once.
+
     The max exponent is subtracted before exponentiation so small bandwidths
-    cannot underflow the whole vector. Raises EffectiveSupportError when every
-    value lies farther than 12 bandwidths from the center.
+    cannot underflow a whole row.
     """
     values = np.asarray(values, dtype=float)
     if bandwidth <= 0 or not math.isfinite(bandwidth):
         raise ValidationError("bandwidth must be positive and finite")
-    if not math.isfinite(center):
+    centers = np.asarray(center, dtype=float)
+    if not np.all(np.isfinite(centers)):
         raise NumericError("kernel center must be finite")
-    w = np.abs(values - center)
-    nearest = float(w.min()) if values.size else math.inf
-    if nearest > KERNEL_SUPPORT_MULTIPLE * bandwidth:
-        raise EffectiveSupportError(
-            f"no values within {KERNEL_SUPPORT_MULTIPLE} bandwidths of r={center}"
-        )
-    # In place on one buffer, since this runs at every grid point of every
-    # effect curve. Each step is monotone in the distance, so the largest
-    # exponent is the nearest value's, computed by the same operations.
+    flat = centers.reshape(-1)
+    w = np.subtract(values, flat[:, None], out=out)
+    np.abs(w, out=w)
+    nearest = w.min(axis=1, initial=math.inf)
+    supported = ~(nearest > KERNEL_SUPPORT_MULTIPLE * bandwidth)
+    if not centers.ndim and not supported[0]:
+        raise EffectiveSupportError(_no_support_message(center))
+    skipped = [(c, _no_support_message(c)) for c in flat[~supported].tolist()]
+    if skipped:
+        w = w[supported]
+        nearest = nearest[supported]
+    # In place on one buffer. Each step is monotone in the distance, so a
+    # row's largest exponent is its nearest value's, computed by the same
+    # operations.
     w /= bandwidth
     w *= w
     w *= -0.5
     scaled = nearest / bandwidth
-    w -= -0.5 * (scaled * scaled)
+    w -= (-0.5 * (scaled * scaled))[:, None]
     np.exp(w, out=w)
-    w /= w.sum()
-    return w
+    w /= w.sum(axis=1, keepdims=True)
+    return KernelRows(w, supported, skipped) if centers.ndim else w[0]
 
 
 def normal_cdf(x):

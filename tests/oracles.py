@@ -1,10 +1,13 @@
 """Independent reference implementations shared by the test modules.
 
-Everything here except ``dense_design_reference`` is deliberately written
-from first principles (textbook formulas, lstsq, plain loops) and shares no
-code with the package internals it checks. ``dense_design_reference`` keeps
-the earlier dense estimator design, built from the package's numerical
-steps, as a bitwise reference.
+Everything here except ``dense_design_reference`` and the section of
+earlier formulas at the end is deliberately written from first principles
+(textbook formulas, lstsq, plain loops) and shares no code with the package
+internals it checks. ``dense_design_reference`` keeps the earlier dense
+estimator design, built from the package's numerical steps, as a bitwise
+reference. The earlier formulas are the package's previous code for the
+kernel weights at one centre, the default grid, the knot choice and the
+spline basis, kept verbatim as bitwise references for their rewrites.
 """
 
 import math
@@ -170,3 +173,67 @@ def dense_design_reference(shifted, focal_index, treatments, outcomes, config, r
         low_support=min(eff_n0, eff_n1) < config.min_effective,
     )
     return fit, estimate
+
+
+# ---------------------------------------------------------------------------
+# Earlier formulas, kept verbatim as bitwise references
+
+
+def pointwise_kernel_weights(values, center, bandwidth):
+    """Gaussian kernel weights at one centre, one vector operation at a time.
+
+    Raises EffectiveSupportError, with the package's message, when every
+    value lies farther than 12 bandwidths from ``center``.
+    """
+    from adaptrd.errors import EffectiveSupportError
+
+    values = np.asarray(values, dtype=float)
+    w = np.abs(values - center)
+    nearest = float(w.min()) if values.size else math.inf
+    if nearest > 12.0 * bandwidth:
+        raise EffectiveSupportError(f"no values within 12.0 bandwidths of r={center}")
+    w /= bandwidth
+    w *= w
+    w *= -0.5
+    scaled = nearest / bandwidth
+    w -= -0.5 * (scaled * scaled)
+    np.exp(w, out=w)
+    w /= w.sum()
+    return w
+
+
+def default_grid_reference(focal_risks, points=101):
+    """Evenly spaced grid between the 1% and 99% quantiles, one quantile call each."""
+    lo = float(np.quantile(focal_risks, 0.01))
+    hi = float(np.quantile(focal_risks, 0.99))
+    return np.linspace(lo, hi, points)
+
+
+def choose_knots_reference(values, df):
+    """(distinct count, lo, interior knots, hi): np.unique plus one quantile call per knot."""
+    values = np.asarray(values, dtype=float)
+    distinct = np.unique(values).size
+    qs = [m / df for m in range(1, df)]
+    interior = [float(np.quantile(values, q)) for q in qs]
+    return distinct, float(values.min()), interior, float(values.max())
+
+
+def natural_cubic_basis_reference(x, knots, df):
+    """Truncated-power natural cubic basis, every cubed term computed per knot."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    knots = np.asarray(knots, dtype=float)
+    K = knots.size
+    out = np.empty((x.size, df))
+    out[:, 0] = x
+    if K > 2:
+        last = knots[-1]
+
+        def d(k_idx):
+            k = knots[k_idx]
+            num = np.maximum(x - k, 0.0) ** 3 - np.maximum(x - last, 0.0) ** 3
+            return num / (last - k)
+
+        d_ref = d(K - 2)
+        for j in range(K - 2):
+            out[:, j + 1] = d(j) - d_ref
+    return out

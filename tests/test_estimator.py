@@ -13,6 +13,7 @@ from adaptrd.errors import (
     ValidationError,
 )
 from adaptrd.estimator import (
+    KERNEL_CHUNK_ROWS,
     EstimatorConfig,
     _effect_gradient,
     aipw_ate,
@@ -40,7 +41,12 @@ from adaptrd.risk_engine import (
     predict_risk_batch,
 )
 from adaptrd.seeds import SeedStream
-from oracles import dense_design_reference, independent_rd_estimate
+from oracles import (
+    default_grid_reference,
+    dense_design_reference,
+    independent_rd_estimate,
+    pointwise_kernel_weights,
+)
 
 rng = np.random.default_rng(777)
 
@@ -329,6 +335,17 @@ class TestEffectCurve:
         assert len(curve.estimates) == 1
         assert len(curve.skipped) == 1 and curve.skipped[0][0] == 7.0
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 3000),
+        points=st.sampled_from([2, 41, 101]),
+    )
+    def test_default_grid_equals_two_quantile_calls(self, seed, n, points):
+        focal = np.random.default_rng(seed).uniform(-0.3, 0.5, size=n)
+        got = default_grid(focal, points)
+        assert got.tobytes() == default_grid_reference(focal, points).tobytes()
+
     def test_default_grid_covers_central_range(self):
         focal = rng.uniform(-1, 1, size=5000)
         grid = default_grid(focal, 101)
@@ -470,6 +487,48 @@ class TestCurveMatchesPointwise:
         assert len(curve.estimates) == len(expected)
         for got, want in zip(curve.estimates, expected):
             assert got == want  # dataclass equality: every field, exactly
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_distinct=st.integers(1, 4),
+        n=st.sampled_from([240, 301, 1001]),
+        length=st.integers(KERNEL_CHUNK_ROWS + 1, 101),
+        bandwidth=st.sampled_from([0.01, 0.02, 0.05]),
+        far_edges=st.lists(st.booleans(), min_size=14, max_size=14),
+    )
+    def test_grids_longer_than_a_chunk(self, seed, n_distinct, n, length, bandwidth, far_edges):
+        matrix, treatments, outcomes = random_versioned_matrix(seed, n_distinct, n)
+        config = EstimatorConfig(bandwidth=bandwidth)
+        surface = fit_outcome_surface(matrix, treatments, outcomes, config)
+        local = np.random.default_rng(seed)
+        grid = local.uniform(-0.15, 0.3, size=length)
+        # Unsupported points on chunk edges, and the whole third chunk
+        # unsupported whenever the grid reaches it.
+        c = KERNEL_CHUNK_ROWS
+        edges = sorted({0, length - 1} | {i for k in range(1, 7) for i in (k * c - 1, k * c)})
+        for i, far in zip([i for i in edges if i < length], far_edges):
+            if far:
+                grid[i] = local.choice([-9.0, 3.0])
+        grid[2 * c : 3 * c] = 12.0
+        curve = effect_curve(surface, matrix, grid, config)
+
+        focal, effect = matrix.focal_shifted, arm_predictions(surface, matrix).effect
+        expected, skipped, betas = [], [], []
+        for r in grid.tolist():
+            try:
+                expected.append(estimate_effect(surface, matrix, r, config))
+            except EffectiveSupportError as exc:
+                skipped.append((r, str(exc)))
+            else:
+                # The per-point formula before kernel blocks, as a bitwise oracle.
+                betas.append(float(pointwise_kernel_weights(focal, r, bandwidth) @ effect))
+        assert curve.skipped == skipped
+        assert [r for r, _ in skipped if r == 12.0] == [12.0] * (min(length, 3 * c) - 2 * c)
+        assert curve.r.tolist() == [e.r for e in expected]
+        assert curve.beta.tobytes() == np.array(betas).tobytes()
+        assert [e.beta_hat for e in expected] == betas
+        assert curve.estimates == expected
 
 
 def versioned_matrix(seed, versions, thresholds, n=240):

@@ -195,6 +195,35 @@ class TestRunScenario:
         })
         assert np.array_equal(matrix.raw, trial.matrix.raw)
 
+    def test_nnt_target_d_is_computed_once_per_trial(self, monkeypatch):
+        import adaptrd.harness as harness
+        from adaptrd.adaptation import nnt_to_cohens_d
+
+        calls = []
+
+        def counted(nnt):
+            calls.append(nnt)
+            return nnt_to_cohens_d(nnt)
+
+        monkeypatch.setattr(harness, "nnt_to_cohens_d", counted)
+        trial = run_scenario(small_preset(3, n=900))
+        updates = [e for e in trial.events if e.kind == "threshold_update"]
+        assert len(updates) == 5
+        assert calls == [trial.config.threshold_strategy.nnt]
+        target = f" target_d={nnt_to_cohens_d(calls[0])!r} "
+        assert all(target in e.detail for e in updates)
+
+    def test_nnt_without_a_d_skips_each_update_with_the_reason(self):
+        import dataclasses
+
+        strategy = dataclasses.replace(small_preset(3).threshold_strategy, nnt=1.0 + 1e-13)
+        trial = run_scenario(small_preset(3, threshold_strategy=strategy))
+        thresholds = [e for e in trial.events if e.kind.startswith("threshold")]
+        assert len(thresholds) == 3
+        for e in thresholds:
+            assert e.kind == "threshold_skipped"
+            assert e.detail == f"NNT {1.0 + 1e-13} implies d above the search window"
+
     def test_rows_after_m_do_not_reach_the_first_m(self, tmp_path):
         # Each new model version scores the whole cohort when it is created,
         # so later patients are scored early; nothing up to row 800 may

@@ -9,6 +9,7 @@ from adaptrd.errors import (
     DegenerateSupportError,
     EffectiveSupportError,
     NonConvergenceError,
+    NumericError,
     ValidationError,
 )
 from adaptrd.numerics import (
@@ -25,6 +26,11 @@ from adaptrd.numerics import (
     normal_quantile,
     pca,
     residualize,
+)
+from oracles import (
+    choose_knots_reference,
+    natural_cubic_basis_reference,
+    pointwise_kernel_weights,
 )
 
 rng = np.random.default_rng(20_240_817)
@@ -293,6 +299,64 @@ class TestKernel:
         assert np.allclose(w1, w2, atol=1e-12)
 
 
+class TestKernelBlock:
+    """An array of centres gives the scalar call's weights, row for row, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 700),
+        decimals=st.sampled_from([None, 1, 2]),
+        h=st.sampled_from([1e-4, 0.01, 0.02, 0.05]),
+        n_centres=st.integers(1, 20),
+    )
+    def test_rows_equal_single_centre_calls_bitwise(self, seed, n, decimals, h, n_centres):
+        local = np.random.default_rng(seed)
+        values = local.uniform(-0.3, 0.5, size=n)
+        if decimals is not None:  # many tied values and tied distances
+            values = np.round(values, decimals)
+        centres = local.uniform(-0.6, 0.8, size=n_centres)
+        picks = local.integers(0, n, size=n_centres)
+        # Some centres sit on a value, some halfway between two values, so
+        # that distances tie on both sides.
+        centres[::3] = values[picks[::3]]
+        centres[1::3] = 0.5 * (values[picks[1::3]] + values[picks[1::3] - 1])
+        rows = gaussian_kernel_weights(values, centres, h)
+        assert rows.supported.shape == (n_centres,)
+        assert rows.weights.shape == (int(rows.supported.sum()), n)
+        supported = iter(rows.weights)
+        skipped = []
+        for c, ok in zip(centres.tolist(), rows.supported.tolist()):
+            if ok:
+                row = next(supported)
+                assert row.tobytes() == gaussian_kernel_weights(values, c, h).tobytes()
+                assert row.tobytes() == pointwise_kernel_weights(values, c, h).tobytes()
+            else:
+                with pytest.raises(EffectiveSupportError) as exc:
+                    gaussian_kernel_weights(values, c, h)
+                with pytest.raises(EffectiveSupportError) as old:
+                    pointwise_kernel_weights(values, c, h)
+                assert str(exc.value) == str(old.value)
+                skipped.append((c, str(exc.value)))
+        assert rows.skipped == skipped
+
+    def test_no_supported_centre(self):
+        rows = gaussian_kernel_weights(np.array([1.0, 2.0]), np.array([-1.0, 5.0]), 0.02)
+        assert rows.weights.shape == (0, 2)
+        assert rows.supported.tolist() == [False, False]
+        assert [c for c, _ in rows.skipped] == [-1.0, 5.0]
+
+    def test_empty_values_support_no_centre(self):
+        rows = gaussian_kernel_weights(np.empty(0), np.array([0.0, 0.1]), 0.02)
+        assert rows.weights.shape == (0, 0) and not rows.supported.any()
+        with pytest.raises(EffectiveSupportError):
+            gaussian_kernel_weights(np.empty(0), 0.0, 0.02)
+
+    def test_non_finite_centre_rejected(self):
+        with pytest.raises(NumericError):
+            gaussian_kernel_weights(np.array([0.0, 0.1]), np.array([0.0, np.nan]), 0.02)
+
+
 def _phi_series(x: float) -> float:
     """Independent high-precision normal CDF via the erf Taylor series."""
     t = x / math.sqrt(2.0)
@@ -355,3 +419,63 @@ def test_bernoulli_deviance_equals_the_two_term_formula(rows, family):
 
     y, mu, w = (np.array(col) for col in zip(*rows))
     assert _deviance(y, mu, w, family) == _two_term_bernoulli_deviance(y, mu, w)
+
+
+class TestEarlierFormulas:
+    """The knot choice and spline basis equal their earlier formulas bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 400),
+        decimals=st.sampled_from([None, 0, 1, 2, 3]),
+        df=st.integers(1, 4),
+    )
+    def test_choose_knots(self, seed, n, decimals, df):
+        values = np.random.default_rng(seed).uniform(-0.3, 0.5, size=n)
+        if decimals is not None:
+            values = np.round(values, decimals)
+        distinct, lo, interior, hi = choose_knots_reference(values, df)
+        if distinct < df + 2:
+            with pytest.raises(DegenerateSupportError, match=f"got {distinct}$"):
+                choose_knots(values, df)
+            return
+        try:
+            basis = choose_knots(values, df)
+        except DegenerateSupportError:
+            assert any(not lo < k < hi for k in interior) or interior != sorted(set(interior))
+            return
+        got = np.array([*basis.boundary_knots, *basis.interior_knots])
+        want = np.array([lo, hi, *interior])
+        assert np.array_equal(got, want)
+        if not np.any((values == 0.0) & np.signbit(values)):
+            # Bit for bit, unless -0.0 ties with +0.0: the sort and the
+            # partition may then leave different zeros at a knot's index.
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "values, count",
+        [(np.empty(0), 0), (np.full(3, np.nan), 1), (np.array([0.1, np.nan, 0.2, np.nan]), 3)],
+    )
+    def test_distinct_count_as_unique_counts(self, values, count):
+        with pytest.raises(DegenerateSupportError, match=f"got {count}$"):
+            choose_knots(values, 3)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 300),
+        df=st.integers(1, 4),
+        spread=st.sampled_from([0.2, 1.0, 3.0]),
+    )
+    def test_natural_cubic_basis(self, seed, n, df, spread):
+        local = np.random.default_rng(seed)
+        basis = choose_knots(local.uniform(-0.2, 0.3, size=200), df)
+        x = local.uniform(-spread, spread, size=n)
+        knots = basis.all_knots
+        x[: min(n, knots.size)] = knots[: min(n, knots.size)]  # on the knots
+        if n > knots.size:
+            x[knots.size] = -0.0
+        got = natural_cubic_basis(x, basis)
+        want = natural_cubic_basis_reference(x, knots, df)
+        assert got.tobytes() == want.tobytes()  # sign bits of zeros included
