@@ -46,11 +46,13 @@ from .errors import (
 )
 from .estimator import (
     ArmPredictions,
+    ComparatorInputs,
     EffectEstimate,
     EstimatorConfig,
     FittedOutcomeSurface,
     aipw_ate,
     arm_predictions,
+    comparator_inputs,
     default_grid,
     effect_curve,
     estimate_effect,

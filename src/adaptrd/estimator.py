@@ -414,9 +414,10 @@ def _comparator_design(covariates: CohortTable) -> np.ndarray:
 
 
 def _comparator_checks(covariates, treatments, outcomes, focal_risks):
-    treatments = np.asarray(treatments)
-    outcomes = np.asarray(outcomes, dtype=float)
-    focal_risks = np.asarray(focal_risks, dtype=float)
+    """Copies of the three per-patient arrays, checked for length and arm sizes."""
+    treatments = np.array(treatments)
+    outcomes = np.array(outcomes, dtype=float)
+    focal_risks = np.array(focal_risks, dtype=float)
     n = len(covariates)
     if treatments.shape != (n,) or outcomes.shape != (n,) or focal_risks.shape != (n,):
         raise ValidationError("comparator inputs must have aligned lengths")
@@ -425,77 +426,93 @@ def _comparator_checks(covariates, treatments, outcomes, focal_risks):
     return treatments, outcomes, focal_risks
 
 
-def _outcome_model_arm_means(covariates, treatments, outcomes, family):
-    """(m0, m1): one GLM of outcome on the predictors plus treatment, predicted per arm."""
-    base = _comparator_design(covariates)
-    design = np.column_stack([base, treatments.astype(float)])
-    fit = fit_glm(GlmSpec(family=family, design=design, response=outcomes))
-    m0 = inverse_link(np.column_stack([base, np.zeros(len(covariates))]) @ fit.theta, family)
-    m1 = inverse_link(np.column_stack([base, np.ones(len(covariates))]) @ fit.theta, family)
-    return m0, m1
-
-
-def outcome_regression_ate(
-    covariates: CohortTable,
-    treatments: np.ndarray,
-    outcomes: np.ndarray,
-    focal_risks: np.ndarray,
-    r: float,
-    config: EstimatorConfig,
-) -> float:
-    """Kernel-smoothed counterfactual-prediction contrast from one GLM."""
-    treatments, outcomes, focal_risks = _comparator_checks(
-        covariates, treatments, outcomes, focal_risks
-    )
-    m0, m1 = _outcome_model_arm_means(covariates, treatments, outcomes, config.family)
-    weights = gaussian_kernel_weights(focal_risks, r, config.bandwidth)
-    return float(weights @ (m1 - m0))
-
-
 PROPENSITY_CLIP = (0.01, 0.99)
 
 
-def _fitted_propensity(covariates: CohortTable, treatments: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class ComparatorInputs:
+    """One evaluation's data for outcome regression, IPW and AIPW.
+
+    The arrays are read-only copies, so editing the caller's arrays later
+    changes no fit. Each fitted piece is computed on its first successful
+    read and then shared by every comparator; a piece whose computation
+    raises is not kept, so each comparator that reads it reports the error.
+    """
+
+    design: np.ndarray  # intercept plus COMPARATOR_PREDICTORS, one row per patient
+    treatments: np.ndarray
+    outcomes: np.ndarray
+    focal_risks: np.ndarray
+    r: float
+    config: EstimatorConfig
+
+    @functools.cached_property
+    def arm_means(self) -> tuple[np.ndarray, np.ndarray]:
+        """(m0, m1): one GLM of outcome on the predictors plus treatment, predicted per arm."""
+        base = self.design
+        n = base.shape[0]
+        family = self.config.family
+        design = np.column_stack([base, self.treatments.astype(float)])
+        fit = fit_glm(GlmSpec(family=family, design=design, response=self.outcomes))
+        m0 = inverse_link(np.column_stack([base, np.zeros(n)]) @ fit.theta, family)
+        m1 = inverse_link(np.column_stack([base, np.ones(n)]) @ fit.theta, family)
+        return m0, m1
+
+    @functools.cached_property
+    def propensity(self) -> np.ndarray:
+        """Logistic propensity on the predictors, clipped to ``PROPENSITY_CLIP``."""
+        fit = fit_glm(
+            GlmSpec(family=LOGIT, design=self.design, response=self.treatments.astype(float))
+        )
+        e = inverse_link(self.design @ fit.theta, LOGIT)
+        return np.clip(e, *PROPENSITY_CLIP)
+
+    @functools.cached_property
+    def kernel_weights(self) -> np.ndarray:
+        """Normalized kernel weights of the focal risks around ``r``."""
+        return gaussian_kernel_weights(self.focal_risks, self.r, self.config.bandwidth)
+
+
+def comparator_inputs(
+    covariates: CohortTable,
+    treatments: np.ndarray,
+    outcomes: np.ndarray,
+    focal_risks: np.ndarray,
+    r: float,
+    config: EstimatorConfig,
+) -> ComparatorInputs:
+    """Check and snapshot the data the three regression-based comparators share."""
+    checked = _comparator_checks(covariates, treatments, outcomes, focal_risks)
     design = _comparator_design(covariates)
-    fit = fit_glm(GlmSpec(family=LOGIT, design=design, response=treatments.astype(float)))
-    e = inverse_link(design @ fit.theta, LOGIT)
-    return np.clip(e, *PROPENSITY_CLIP)
+    for values in (design, *checked):
+        values.flags.writeable = False
+    return ComparatorInputs(design, *checked, r, config)
 
 
-def ipw_ate(
-    covariates: CohortTable,
-    treatments: np.ndarray,
-    outcomes: np.ndarray,
-    focal_risks: np.ndarray,
-    r: float,
-    config: EstimatorConfig,
-) -> float:
+# Each comparator reads its pieces in the same order (outcome model, then
+# propensity, then kernel row), so a failing piece gives every comparator
+# that needs it the same error.
+
+
+def outcome_regression_ate(inputs: ComparatorInputs) -> float:
+    """Kernel-smoothed counterfactual-prediction contrast from one GLM."""
+    m0, m1 = inputs.arm_means
+    return float(inputs.kernel_weights @ (m1 - m0))
+
+
+def ipw_ate(inputs: ComparatorInputs) -> float:
     """Kernel-weighted average of propensity-scaled pseudo-outcomes."""
-    treatments, outcomes, focal_risks = _comparator_checks(
-        covariates, treatments, outcomes, focal_risks
-    )
-    e = _fitted_propensity(covariates, treatments)
-    a = treatments.astype(float)
-    pseudo = (a / e - (1.0 - a) / (1.0 - e)) * outcomes
-    weights = gaussian_kernel_weights(focal_risks, r, config.bandwidth)
-    return float(weights @ pseudo)
+    e = inputs.propensity
+    a = inputs.treatments.astype(float)
+    pseudo = (a / e - (1.0 - a) / (1.0 - e)) * inputs.outcomes
+    return float(inputs.kernel_weights @ pseudo)
 
 
-def aipw_ate(
-    covariates: CohortTable,
-    treatments: np.ndarray,
-    outcomes: np.ndarray,
-    focal_risks: np.ndarray,
-    r: float,
-    config: EstimatorConfig,
-) -> float:
+def aipw_ate(inputs: ComparatorInputs) -> float:
     """Doubly robust combination of the outcome and propensity models."""
-    treatments, outcomes, focal_risks = _comparator_checks(
-        covariates, treatments, outcomes, focal_risks
-    )
-    m0, m1 = _outcome_model_arm_means(covariates, treatments, outcomes, config.family)
-    e = _fitted_propensity(covariates, treatments)
-    a = treatments.astype(float)
-    influence = m1 - m0 + a * (outcomes - m1) / e - (1.0 - a) * (outcomes - m0) / (1.0 - e)
-    weights = gaussian_kernel_weights(focal_risks, r, config.bandwidth)
-    return float(weights @ influence)
+    m0, m1 = inputs.arm_means
+    e = inputs.propensity
+    a = inputs.treatments.astype(float)
+    y = inputs.outcomes
+    influence = m1 - m0 + a * (y - m1) / e - (1.0 - a) * (y - m0) / (1.0 - e)
+    return float(inputs.kernel_weights @ influence)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -37,6 +38,7 @@ from .config import _SCENARIO_SHAPES, ScenarioConfig, parse_config, preset_paylo
 from .errors import AdaptRdError, ConfigError
 from .estimator import (
     aipw_ate,
+    comparator_inputs,
     default_grid,
     effect_curve,
     estimate_effect,
@@ -381,17 +383,25 @@ def evaluate_at_final_threshold(trial: TrialData) -> EvaluationResult:
     except AdaptRdError as exc:
         methods["naive"] = MethodResult(error=str(exc))
 
+    # The comparators share one outcome fit, one propensity fit and one
+    # kernel row; a failure to build their inputs is each one's error.
+    try:
+        inputs = comparator_inputs(
+            trial.covariates, trial.treatment, trial.outcome, focal, 0.0, est_cfg
+        )
+        build_error = None
+    except AdaptRdError as exc:
+        build_error = str(exc)
     for name, fn in (
         ("outcome_regression", outcome_regression_ate),
         ("ipw", ipw_ate),
         ("aipw", aipw_ate),
     ):
+        if build_error is not None:
+            methods[name] = MethodResult(error=build_error)
+            continue
         try:
-            methods[name] = MethodResult(
-                estimate=fn(
-                    trial.covariates, trial.treatment, trial.outcome, focal, 0.0, est_cfg
-                )
-            )
+            methods[name] = MethodResult(estimate=fn(inputs))
         except AdaptRdError as exc:
             methods[name] = MethodResult(error=str(exc))
 
@@ -410,6 +420,8 @@ class ReplicationReport:
     per_method: dict
     final_thresholds: list
     treated_fractions: list
+    # "trial" and each method: {error message: count}, messages sorted.
+    failure_reasons: dict
 
     def to_dict(self) -> dict:
         return {
@@ -419,6 +431,7 @@ class ReplicationReport:
             "per_method": self.per_method,
             "final_thresholds": self.final_thresholds,
             "treated_fractions": self.treated_fractions,
+            "failure_reasons": self.failure_reasons,
         }
 
 
@@ -459,18 +472,18 @@ def run_replications(config: ScenarioConfig, count: int, workers: int = 1) -> Re
     else:
         results = [_replication_worker(t) for t in tasks]
 
-    trial_failures = sum(1 for r in results if "failed" in r)
     ok = [r for r in results if "failed" not in r]
+    reasons = {"trial": Counter(r["failed"] for r in results if "failed" in r)}
     per_method = {}
     for name in METHODS:
         errors = []
         reps = []
         covered = []
-        failures = 0
+        reasons[name] = Counter()
         for r in ok:
             m = r["methods"][name]
             if m["estimate"] is None:
-                failures += 1
+                reasons[name][m["error"]] += 1
                 continue
             err = m["estimate"] - r["truth"]
             errors.append(err)
@@ -480,7 +493,7 @@ def run_replications(config: ScenarioConfig, count: int, workers: int = 1) -> Re
         arr = np.asarray(errors)
         entry = {
             "n_used": len(errors),
-            "failures": failures,
+            "failures": sum(reasons[name].values()),
             "errors": [float(e) for e in errors],
             "reps": reps,
             "bias": float(arr.mean()) if arr.size else None,
@@ -499,10 +512,11 @@ def run_replications(config: ScenarioConfig, count: int, workers: int = 1) -> Re
     return ReplicationReport(
         scenario_id=config.scenario_id,
         n_replications=count,
-        trial_failures=trial_failures,
+        trial_failures=sum(reasons["trial"].values()),
         per_method=per_method,
         final_thresholds=[r["final_threshold"] for r in ok],
         treated_fractions=[r["treated_fraction"] for r in ok],
+        failure_reasons={key: dict(sorted(c.items())) for key, c in reasons.items()},
     )
 
 

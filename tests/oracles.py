@@ -7,7 +7,10 @@ internals it checks. ``dense_design_reference`` keeps the earlier dense
 estimator design, built from the package's numerical steps, as a bitwise
 reference. The earlier formulas are the package's previous code for the
 kernel weights at one centre, the default grid, the knot choice and the
-spline basis, kept verbatim as bitwise references for their rewrites.
+spline basis, kept verbatim as bitwise references for their rewrites. The
+last section keeps the three regression-based comparators as they were
+when each fitted its own models, verbatim, as bitwise references for the
+shared ``ComparatorInputs``.
 """
 
 import math
@@ -237,3 +240,126 @@ def natural_cubic_basis_reference(x, knots, df):
         for j in range(K - 2):
             out[:, j + 1] = d(j) - d_ref
     return out
+
+
+# The comparators as they were before they shared one ComparatorInputs
+# value: each call checks its inputs and fits its own models. The names
+# they call are this module's, so a test can patch ``oracles.fit_glm``.
+
+from adaptrd.cohort import CohortTable  # noqa: E402
+from adaptrd.errors import InsufficientDataError, ValidationError  # noqa: E402
+from adaptrd.estimator import EstimatorConfig  # noqa: E402
+from adaptrd.numerics import (  # noqa: E402
+    LOGIT,
+    GlmSpec,
+    fit_glm,
+    gaussian_kernel_weights,
+    inverse_link,
+)
+
+MIN_PER_ARM = 10
+
+COMPARATOR_PREDICTORS = (
+    "age",
+    "total_chol",
+    "hdl_chol",
+    "systolic_bp",
+    "bp_treated",
+    "smoker",
+    "diabetes",
+)
+
+
+def _comparator_design(covariates: CohortTable) -> np.ndarray:
+    cols = [np.ones(len(covariates))]
+    for name in COMPARATOR_PREDICTORS:
+        cols.append(getattr(covariates, name).astype(float))
+    return np.column_stack(cols)
+
+
+def _comparator_checks(covariates, treatments, outcomes, focal_risks):
+    treatments = np.asarray(treatments)
+    outcomes = np.asarray(outcomes, dtype=float)
+    focal_risks = np.asarray(focal_risks, dtype=float)
+    n = len(covariates)
+    if treatments.shape != (n,) or outcomes.shape != (n,) or focal_risks.shape != (n,):
+        raise ValidationError("comparator inputs must have aligned lengths")
+    if np.sum(treatments == 1) < MIN_PER_ARM or np.sum(treatments == 0) < MIN_PER_ARM:
+        raise InsufficientDataError(f"need at least {MIN_PER_ARM} patients per arm")
+    return treatments, outcomes, focal_risks
+
+
+def _outcome_model_arm_means(covariates, treatments, outcomes, family):
+    """(m0, m1): one GLM of outcome on the predictors plus treatment, predicted per arm."""
+    base = _comparator_design(covariates)
+    design = np.column_stack([base, treatments.astype(float)])
+    fit = fit_glm(GlmSpec(family=family, design=design, response=outcomes))
+    m0 = inverse_link(np.column_stack([base, np.zeros(len(covariates))]) @ fit.theta, family)
+    m1 = inverse_link(np.column_stack([base, np.ones(len(covariates))]) @ fit.theta, family)
+    return m0, m1
+
+
+def outcome_regression_ate_reference(
+    covariates: CohortTable,
+    treatments: np.ndarray,
+    outcomes: np.ndarray,
+    focal_risks: np.ndarray,
+    r: float,
+    config: EstimatorConfig,
+) -> float:
+    """Kernel-smoothed counterfactual-prediction contrast from one GLM."""
+    treatments, outcomes, focal_risks = _comparator_checks(
+        covariates, treatments, outcomes, focal_risks
+    )
+    m0, m1 = _outcome_model_arm_means(covariates, treatments, outcomes, config.family)
+    weights = gaussian_kernel_weights(focal_risks, r, config.bandwidth)
+    return float(weights @ (m1 - m0))
+
+
+PROPENSITY_CLIP = (0.01, 0.99)
+
+
+def _fitted_propensity(covariates: CohortTable, treatments: np.ndarray) -> np.ndarray:
+    design = _comparator_design(covariates)
+    fit = fit_glm(GlmSpec(family=LOGIT, design=design, response=treatments.astype(float)))
+    e = inverse_link(design @ fit.theta, LOGIT)
+    return np.clip(e, *PROPENSITY_CLIP)
+
+
+def ipw_ate_reference(
+    covariates: CohortTable,
+    treatments: np.ndarray,
+    outcomes: np.ndarray,
+    focal_risks: np.ndarray,
+    r: float,
+    config: EstimatorConfig,
+) -> float:
+    """Kernel-weighted average of propensity-scaled pseudo-outcomes."""
+    treatments, outcomes, focal_risks = _comparator_checks(
+        covariates, treatments, outcomes, focal_risks
+    )
+    e = _fitted_propensity(covariates, treatments)
+    a = treatments.astype(float)
+    pseudo = (a / e - (1.0 - a) / (1.0 - e)) * outcomes
+    weights = gaussian_kernel_weights(focal_risks, r, config.bandwidth)
+    return float(weights @ pseudo)
+
+
+def aipw_ate_reference(
+    covariates: CohortTable,
+    treatments: np.ndarray,
+    outcomes: np.ndarray,
+    focal_risks: np.ndarray,
+    r: float,
+    config: EstimatorConfig,
+) -> float:
+    """Doubly robust combination of the outcome and propensity models."""
+    treatments, outcomes, focal_risks = _comparator_checks(
+        covariates, treatments, outcomes, focal_risks
+    )
+    m0, m1 = _outcome_model_arm_means(covariates, treatments, outcomes, config.family)
+    e = _fitted_propensity(covariates, treatments)
+    a = treatments.astype(float)
+    influence = m1 - m0 + a * (outcomes - m1) / e - (1.0 - a) * (outcomes - m0) / (1.0 - e)
+    weights = gaussian_kernel_weights(focal_risks, r, config.bandwidth)
+    return float(weights @ influence)

@@ -248,6 +248,27 @@ class TestReplicate:
         report = json.loads((a / "report.json").read_text())
         assert report["n_replications"] == 4
 
+    def test_failure_reasons_are_worker_invariant(self, tmp_path):
+        # 24 patients leave some arms with fewer than 10 and some logit
+        # fits without convergence.
+        tiny = ["--seed", "7", "--override", "n_patients=24", "--override", "warmup=12",
+                "--override", "update_every=4", "--override", "model_strategy.warmup=12",
+                "--override", "model_strategy.update_every=4"]
+        a, b = tmp_path / "w1", tmp_path / "w2"
+        for out, workers in ((a, "1"), (b, "2")):
+            code = run_cli("replicate", "--config", "scenario4", "--out", str(out),
+                           "--replications", "6", "--workers", workers, *tiny)
+            assert code == 0
+        assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
+        report = json.loads((a / "report.json").read_text())
+        reasons = report["failure_reasons"]
+        assert set(reasons) == {"trial", *report["per_method"]}
+        assert sum(reasons["trial"].values()) == report["trial_failures"]
+        for method, entry in report["per_method"].items():
+            assert sum(reasons[method].values()) == entry["failures"]
+        assert reasons["aipw"]["need at least 10 patients per arm"] >= 1
+        assert any("did not converge" in message for message in reasons["ipw"])
+
     def test_boxplot_svg(self, tmp_path):
         out = tmp_path / "r"
         run_cli("replicate", "--config", "scenario2", "--out", str(out),

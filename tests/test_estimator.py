@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from adaptrd.cohort import DEFAULT_COHORT_PARAMS, sample_cohort
 from adaptrd.errors import (
+    AdaptRdError,
     DegenerateSupportError,
     EffectiveSupportError,
     InsufficientDataError,
@@ -18,6 +19,7 @@ from adaptrd.estimator import (
     _effect_gradient,
     aipw_ate,
     arm_predictions,
+    comparator_inputs,
     default_grid,
     effect_curve,
     estimate_effect,
@@ -42,9 +44,12 @@ from adaptrd.risk_engine import (
 )
 from adaptrd.seeds import SeedStream
 from oracles import (
+    aipw_ate_reference,
     default_grid_reference,
     dense_design_reference,
     independent_rd_estimate,
+    ipw_ate_reference,
+    outcome_regression_ate_reference,
     pointwise_kernel_weights,
 )
 
@@ -378,18 +383,18 @@ class TestComparators:
         # outcomes exactly linear in the fixed predictors, no treatment term
         y = 0.01 * table.age + 0.002 * table.total_chol - 0.004 * table.hdl_chol
         config = EstimatorConfig()
-        est = outcome_regression_ate(table, treatments, y, focal, 0.0, config)
+        est = outcome_regression_ate(comparator_inputs(table, treatments, y, focal, 0.0, config))
         assert abs(est) < 1e-8
         # additive treatment effect recovered exactly
         y2 = y + 3.0 * treatments
-        est2 = outcome_regression_ate(table, treatments, y2, focal, 0.0, config)
+        est2 = outcome_regression_ate(comparator_inputs(table, treatments, y2, focal, 0.0, config))
         assert est2 == pytest.approx(3.0, abs=1e-8)
 
     def test_outcome_regression_matches_reimplementation(self):
         table, focal, treatments = self._setup(n=50, seed=23)
         y = rng.standard_normal(50)
         config = EstimatorConfig()
-        est = outcome_regression_ate(table, treatments, y, focal, 0.0, config)
+        est = outcome_regression_ate(comparator_inputs(table, treatments, y, focal, 0.0, config))
         X = np.column_stack(
             [
                 np.ones(50),
@@ -420,18 +425,111 @@ class TestComparators:
             focal = predict_risk_batch(original_pce_model(), table) - 0.1
             treatments = (local.uniform(size=3000) < 0.5).astype(int)
             y = 0.01 * table.age + local.standard_normal(3000)
-            estimates.append(ipw_ate(table, treatments, y, focal, 0.0, config))
+            estimates.append(ipw_ate(comparator_inputs(table, treatments, y, focal, 0.0, config)))
         assert abs(np.mean(estimates)) < 0.05
 
     def test_aipw_collapse_toward_outcome_regression(self):
         table, focal, treatments = self._setup(n=2000, seed=31)
         y = 0.01 * table.age + 1.0 * treatments + 0.3 * rng.standard_normal(2000)
         config = EstimatorConfig()
-        aipw = aipw_ate(table, treatments, y, focal, 0.0, config)
-        outreg = outcome_regression_ate(table, treatments, y, focal, 0.0, config)
+        inputs = comparator_inputs(table, treatments, y, focal, 0.0, config)
+        aipw = aipw_ate(inputs)
+        outreg = outcome_regression_ate(inputs)
         assert aipw == pytest.approx(outreg, abs=0.15)
         assert aipw == pytest.approx(1.0, abs=0.2)
 
+
+def bits(value) -> int:
+    return int(np.float64(value).view(np.uint64))
+
+
+def comparator_outcome(fn, *args):
+    """(estimate bits, None) or (None, error message) of one comparator call."""
+    try:
+        return bits(fn(*args)), None
+    except AdaptRdError as exc:
+        return None, str(exc)
+
+
+COMPARATORS = (
+    (outcome_regression_ate, outcome_regression_ate_reference),
+    (ipw_ate, ipw_ate_reference),
+    (aipw_ate, aipw_ate_reference),
+)
+
+
+def random_comparator_data(seed: int, family: str):
+    """A sampled cohort with covariate-driven treatment and a family's outcomes."""
+    local = np.random.default_rng(seed)
+    n = int(local.integers(60, 900))
+    table = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(seed + 300), n)
+    focal = predict_risk_batch(original_pce_model(), table) - local.uniform(0.05, 0.2)
+    p_treat = 1.0 / (1.0 + np.exp(-(0.04 * (table.age - 55.0) + 8.0 * focal)))
+    treatments = (local.uniform(size=n) < p_treat).astype(int)
+    mean = 0.02 * table.age + 0.5 * treatments - 1.0
+    if family == LOGIT:
+        outcomes = (local.uniform(size=n) < 1.0 / (1.0 + np.exp(-mean))).astype(float)
+    else:
+        outcomes = mean + local.standard_normal(n)
+    config = EstimatorConfig(family=family, bandwidth=float(local.uniform(0.01, 0.05)))
+    return table, treatments, outcomes, focal, config
+
+
+class TestComparatorInputs:
+    """The shared comparator inputs against the comparators that fit their own models."""
+
+    @pytest.mark.parametrize("family", [LOGIT, GAUSSIAN])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_cohorts_match_the_oracle_bitwise(self, family, seed):
+        table, treatments, outcomes, focal, config = random_comparator_data(seed, family)
+        for r in (0.0, 0.03):
+            inputs = comparator_inputs(table, treatments, outcomes, focal, r, config)
+            for new, old in COMPARATORS:
+                got = comparator_outcome(new, inputs)
+                want = comparator_outcome(old, table, treatments, outcomes, focal, r, config)
+                assert got == want
+                assert got[0] is not None
+
+    def test_build_errors_match_the_oracle(self):
+        table, treatments, outcomes, focal, config = random_comparator_data(7, GAUSSIAN)
+        few = np.zeros_like(treatments)
+        few[:5] = 1
+        cases = [
+            (few, outcomes, focal, InsufficientDataError),
+            (treatments, outcomes[:-1], focal, ValidationError),
+            (treatments, outcomes, focal[:-1], ValidationError),
+        ]
+        for a, y, f, error in cases:
+            with pytest.raises(error) as built:
+                comparator_inputs(table, a, y, f, 0.0, config)
+            for _, old in COMPARATORS:
+                assert comparator_outcome(old, table, a, y, f, 0.0, config) == (
+                    None, str(built.value)
+                )
+
+    def test_kernel_without_support_fails_every_comparator_alike(self):
+        table, treatments, outcomes, focal, config = random_comparator_data(8, GAUSSIAN)
+        inputs = comparator_inputs(table, treatments, outcomes, focal, 5.0, config)
+        for new, old in COMPARATORS:
+            got = comparator_outcome(new, inputs)
+            assert got[1] is not None and "no values within" in got[1]
+            assert got == comparator_outcome(old, table, treatments, outcomes, focal, 5.0, config)
+
+    def test_inputs_are_read_only_copies(self):
+        table, treatments, outcomes, focal, config = random_comparator_data(9, LOGIT)
+        inputs = comparator_inputs(table, treatments, outcomes, focal, 0.0, config)
+        before = [comparator_outcome(new, inputs) for new, _ in COMPARATORS]
+        for arr in (inputs.design, inputs.treatments, inputs.outcomes, inputs.focal_risks):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        fresh = comparator_inputs(table, treatments, outcomes, focal, 0.0, config)
+        treatments[:] = 1 - treatments
+        outcomes[:] = 1.0 - outcomes
+        focal += 0.3
+        table.age[:] = 30.0
+        # Pieces first read after the edits still see the data at build time.
+        assert [comparator_outcome(new, fresh) for new, _ in COMPARATORS] == before
 
 
 def random_versioned_matrix(seed: int, n_distinct: int, n: int = 240):

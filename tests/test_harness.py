@@ -1,5 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
+
+import oracles
+from adaptrd import estimator
 
 from adaptrd.adaptation import (
     FixedThreshold,
@@ -8,8 +13,8 @@ from adaptrd.adaptation import (
     RateTargetThreshold,
     RecalibrateModel,
 )
-from adaptrd.errors import ConfigError
-from adaptrd.estimator import EstimatorConfig
+from adaptrd.errors import AdaptRdError, ConfigError, NonConvergenceError
+from adaptrd.estimator import COMPARATOR_PREDICTORS, EstimatorConfig, fit_outcome_surface
 from adaptrd.harness import (
     METHODS,
     ScenarioConfig,
@@ -18,9 +23,10 @@ from adaptrd.harness import (
     run_scenario,
     scenario_preset,
 )
-from adaptrd.numerics import GAUSSIAN, LOGIT
+from adaptrd.numerics import GAUSSIAN, LOGIT, fit_glm
 from adaptrd.outcomes import AscvdParams, OutcomeModel, draw_noise, outcomes_from_noise
 from adaptrd.seeds import SeedStream
+from oracles import aipw_ate_reference, ipw_ate_reference, outcome_regression_ate_reference
 
 
 def small_preset(sid, seed=9, n=700, **overrides):
@@ -361,6 +367,113 @@ class TestEvaluate:
             assert (m.estimate is None) != (m.error is None)
 
 
+COMPARATOR_METHODS = ("outcome_regression", "ipw", "aipw")
+COMPARATOR_REFERENCES = (outcome_regression_ate_reference, ipw_ate_reference, aipw_ate_reference)
+OUTCOME_MODEL_WIDTH = len(COMPARATOR_PREDICTORS) + 2  # intercept, predictors, treatment
+PROPENSITY_WIDTH = len(COMPARATOR_PREDICTORS) + 1
+
+
+def oracle_comparators(trial):
+    """Each comparator's (estimate bits, error) from the functions that fit their own models."""
+    args = (
+        trial.covariates, trial.treatment, trial.outcome, trial.matrix.focal_shifted, 0.0,
+        trial.config.estimator,
+    )
+    out = []
+    for fn in COMPARATOR_REFERENCES:
+        try:
+            out.append((int(np.float64(fn(*args)).view(np.uint64)), None))
+        except AdaptRdError as exc:
+            out.append((None, str(exc)))
+    return out
+
+
+def evaluated_comparators(trial):
+    methods = evaluate_at_final_threshold(trial).methods
+    return [
+        (
+            None if methods[m].estimate is None
+            else int(np.float64(methods[m].estimate).view(np.uint64)),
+            methods[m].error,
+        )
+        for m in COMPARATOR_METHODS
+    ]
+
+
+def patch_fit_glm(monkeypatch, fail_width=None, message=""):
+    """Route the estimator's and the oracle's fits through one spy; list the fit widths.
+
+    A fit whose design has ``fail_width`` columns raises NonConvergenceError.
+    """
+    calls = []
+
+    def spy(spec):
+        calls.append(spec.design.shape[1])
+        if spec.design.shape[1] == fail_width:
+            raise NonConvergenceError(message)
+        return fit_glm(spec)
+
+    monkeypatch.setattr(estimator, "fit_glm", spy)
+    monkeypatch.setattr(oracles, "fit_glm", spy)
+    return calls
+
+
+class TestComparatorsAtFinalThreshold:
+    @pytest.mark.parametrize("scenario", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_match_the_oracle_bitwise(self, scenario, seed):
+        trial = run_scenario(small_preset(scenario, seed=seed, n=1000))
+        got = evaluated_comparators(trial)
+        assert got == oracle_comparators(trial)
+        assert all(bits is not None for bits, _ in got)
+
+    @pytest.fixture
+    def trial(self):
+        trial = run_scenario(small_preset(1, seed=2, n=1000))
+        # A scenario-1 surface has no PC block, so its design is narrower
+        # than either comparator model's.
+        surface = fit_outcome_surface(
+            trial.matrix, trial.treatment, trial.outcome, trial.config.estimator
+        )
+        assert surface.fit.theta.size < PROPENSITY_WIDTH
+        return trial
+
+    def test_failed_outcome_fit_fails_or_and_aipw_only(self, trial, monkeypatch):
+        patch_fit_glm(monkeypatch, OUTCOME_MODEL_WIDTH, "outcome model did not converge")
+        got = evaluated_comparators(trial)
+        assert got == oracle_comparators(trial)
+        (_, or_error), (ipw_bits, ipw_error), (_, aipw_error) = got
+        assert or_error == aipw_error == "outcome model did not converge"
+        assert ipw_bits is not None and ipw_error is None
+
+    def test_failed_propensity_fit_fails_ipw_and_aipw_only(self, trial, monkeypatch):
+        patch_fit_glm(monkeypatch, PROPENSITY_WIDTH, "propensity did not converge")
+        got = evaluated_comparators(trial)
+        assert got == oracle_comparators(trial)
+        (or_bits, or_error), (_, ipw_error), (_, aipw_error) = got
+        assert ipw_error == aipw_error == "propensity did not converge"
+        assert or_bits is not None and or_error is None
+
+    def test_too_few_per_arm_fails_all_three_alike(self, trial, monkeypatch):
+        treatment = np.zeros_like(trial.treatment)
+        treatment[:9] = 1
+        trial = dataclasses.replace(trial, treatment=treatment)
+        calls = patch_fit_glm(monkeypatch)
+        got = evaluated_comparators(trial)
+        assert got == oracle_comparators(trial)
+        assert {error for _, error in got} == {"need at least 10 patients per arm"}
+        assert OUTCOME_MODEL_WIDTH not in calls and PROPENSITY_WIDTH not in calls
+
+    def test_each_comparator_model_is_fitted_once(self, trial, monkeypatch):
+        calls = patch_fit_glm(monkeypatch)
+        evaluate_at_final_threshold(trial)
+        # One surface fit, then the outcome model and the propensity.
+        assert calls[1:] == [OUTCOME_MODEL_WIDTH, PROPENSITY_WIDTH]
+        calls.clear()
+        oracle_comparators(trial)
+        assert calls == [OUTCOME_MODEL_WIDTH, PROPENSITY_WIDTH] * 2
+
+
 class TestReplications:
     def test_count_one_reduces_to_single_evaluation(self):
         cfg = small_preset(2, n=800, seed=13)
@@ -379,6 +492,27 @@ class TestReplications:
             assert entry["mse"] + 1e-12 >= entry["bias"] ** 2
         cov = report.per_method["adaptive_rd"]["coverage"]
         assert cov is None or 0.0 <= cov <= 1.0
+
+    def test_failure_reasons_count_each_failure_in_order(self):
+        cfg = scenario_preset(4, seed=7, n_patients=24, warmup=12, update_every=4)
+        report = run_replications(cfg, 6)
+        reasons = report.to_dict()["failure_reasons"]
+        assert list(reasons) == ["trial", *METHODS]
+        assert sum(reasons["trial"].values()) == report.trial_failures
+        for name in METHODS:
+            assert sum(reasons[name].values()) == report.per_method[name]["failures"]
+            assert list(reasons[name]) == sorted(reasons[name])
+        assert reasons["outcome_regression"] == {
+            "IRLS did not converge in 100 iterations (family=bernoulli_logit)": 2,
+            "need at least 10 patients per arm": 1,
+        }
+
+    def test_failed_trials_keep_their_reason(self, tmp_path):
+        missing = tmp_path / "missing.csv"
+        report = run_replications(small_preset(2, n=700, seed=19, cohort_csv=missing), 2)
+        assert report.trial_failures == 2
+        assert report.failure_reasons["trial"] == {f"cohort file not found: {missing}": 2}
+        assert all(report.failure_reasons[name] == {} for name in METHODS)
 
     def test_worker_count_invariance(self):
         cfg = small_preset(2, n=700, seed=19)
