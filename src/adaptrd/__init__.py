@@ -26,11 +26,9 @@ from .adaptation import (
 )
 from .cohort import (
     CohortTable,
-    PatientCovariates,
     SyntheticCohortParams,
     load_cohort_csv,
     sample_cohort,
-    validate_covariates,
 )
 from .errors import (
     AdaptRdError,
@@ -97,7 +95,6 @@ from .risk_engine import (
     build_counterfactual_matrix,
     load_default_coefficients,
     original_pce_model,
-    pce_risk,
 )
 from .seeds import SeedStream
 

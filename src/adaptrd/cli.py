@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cohort import CSV_COLUMNS, CohortTable, load_cohort_csv
+from .cohort import CSV_COLUMNS, covariate_columns, load_cohort_csv
 from .config import apply_overrides, load_config_payload, parse_config
 from .errors import AdaptRdError, ConfigError, IngestionError
 from .estimator import (
@@ -27,11 +27,12 @@ from .estimator import (
 from .harness import evaluate_at_final_threshold, run_replications, run_scenario
 from .numerics import GAUSSIAN, LOGIT
 from .risk_engine import (
+    SUBGROUPS,
     export_matrix_csv,
     import_matrix_csv,
     original_pce_model,
     predict_risk_batch,
-    subgroup_for,
+    subgroup_index,
 )
 from .trialio import (
     read_trial_csv,
@@ -173,28 +174,13 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_risk(args) -> int:
-    patients = load_cohort_csv(args.input)
-    risks = predict_risk_batch(original_pce_model(), CohortTable.from_patients(patients))
-    out_path = Path(args.output)
-    with out_path.open("w", newline="", encoding="utf-8") as fh:
+    table = load_cohort_csv(args.input)
+    risks = predict_risk_batch(original_pce_model(), table)
+    subgroups = np.array(SUBGROUPS)[subgroup_index(table)].tolist()
+    with Path(args.output).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(CSV_COLUMNS) + ["subgroup", "risk"])
-        for p, risk in zip(patients, risks.tolist()):
-            writer.writerow(
-                [
-                    repr(float(p.age)),
-                    p.sex,
-                    p.race,
-                    repr(float(p.systolic_bp)),
-                    repr(float(p.total_chol)),
-                    repr(float(p.hdl_chol)),
-                    int(p.smoker),
-                    int(p.diabetes),
-                    int(p.bp_treated),
-                    subgroup_for(p),
-                    repr(risk),
-                ]
-            )
+        writer.writerow(CSV_COLUMNS + ("subgroup", "risk"))
+        writer.writerows(zip(*covariate_columns(table), subgroups, risks.tolist()))
     return 0
 
 

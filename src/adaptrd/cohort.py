@@ -1,28 +1,31 @@
-"""Synthetic patient cohorts and CSV ingestion.
+"""Synthetic patient cohorts and the covariate CSV format.
 
-Patients carry the nine covariates the cardiovascular risk calculator needs.
-The synthetic sampler draws from configurable marginals (age uniform,
-truncated normals for pressures and lipids, categorical flags); real cohorts
-can be ingested from CSV in the documented schema. Sampling is a pure
-function of (params, SeedStream).
+A cohort is a ``CohortTable``: one array per covariate the cardiovascular
+risk calculator needs. The synthetic sampler draws from configurable
+marginals (age uniform, truncated normals for pressures and lipids,
+categorical flags) and is a pure function of (params, SeedStream).
+
+The covariate text format (floats by ``repr``, sex as ``female``/``male``,
+race from ``RACES``, flags as ``0``/``1``) has one writer,
+``covariate_columns``, and one parser, ``parse_covariates``; cohort files
+(``save_cohort_csv``/``load_cohort_csv``) and logged trial files both use
+them. Only ``load_cohort_csv`` also enforces the range invariants.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import ConfigError, IngestionError, ValidationError
+from .errors import ConfigError, IngestionError
 from .seeds import SeedStream
 
 AGE_MIN, AGE_MAX = 40.0, 79.0
-SEXES = ("male", "female")
 RACES = ("white", "black", "other")
 
 CSV_COLUMNS = (
@@ -36,52 +39,6 @@ CSV_COLUMNS = (
     "diabetes",
     "bp_treated",
 )
-
-
-@dataclass(frozen=True)
-class PatientCovariates:
-    """One patient's risk-model inputs."""
-
-    age: float
-    sex: str
-    race: str
-    systolic_bp: float
-    total_chol: float
-    hdl_chol: float
-    smoker: bool
-    diabetes: bool
-    bp_treated: bool
-
-
-def validate_covariates(pc: PatientCovariates) -> PatientCovariates:
-    """Return ``pc`` unchanged if every invariant holds, else raise.
-
-    Violations are reported by field name so ingestion errors can point at
-    the offending column.
-    """
-    problems = []
-    for name in ("age", "systolic_bp", "total_chol", "hdl_chol"):
-        v = getattr(pc, name)
-        if not isinstance(v, (int, float)) or not math.isfinite(v):
-            problems.append(f"{name} is not finite")
-    if not problems:
-        if not AGE_MIN <= pc.age <= AGE_MAX:
-            problems.append(f"age out of range [{AGE_MIN:.0f}, {AGE_MAX:.0f}]")
-        for name in ("systolic_bp", "total_chol", "hdl_chol"):
-            if getattr(pc, name) <= 0:
-                problems.append(f"{name} must be strictly positive")
-        if not problems and pc.hdl_chol >= pc.total_chol:
-            problems.append("hdl_chol must be below total_chol")
-    if pc.sex not in SEXES:
-        problems.append(f"sex must be one of {SEXES}")
-    if pc.race not in RACES:
-        problems.append(f"race must be one of {RACES}")
-    for name in ("smoker", "diabetes", "bp_treated"):
-        if not isinstance(getattr(pc, name), bool):
-            problems.append(f"{name} must be a boolean flag")
-    if problems:
-        raise ValidationError("; ".join(problems))
-    return pc
 
 
 @dataclass(frozen=True)
@@ -145,13 +102,12 @@ class SyntheticCohortParams:
         lo, hi = self.age_range
         if not AGE_MIN <= lo < hi <= AGE_MAX:
             raise ConfigError(f"age_range must lie within [{AGE_MIN}, {AGE_MAX}]")
-        _check_probs("sex", {"female": self.p_female, "male": 1.0 - self.p_female})
+        for name in ("p_female", "p_smoker", "p_diabetes", "p_bp_treated"):
+            p = getattr(self, name)
+            _check_probs(name, {name: p, "complement": 1.0 - p})
         if set(self.race_probs) != set(RACES):
             raise ConfigError(f"race_probs must have keys {RACES}")
         _check_probs("race", self.race_probs)
-        for name in ("p_smoker", "p_diabetes", "p_bp_treated"):
-            p = getattr(self, name)
-            _check_probs(name, {name: p, "complement": 1.0 - p})
         if self.hdl_sd <= 0:
             raise ConfigError("hdl_sd must be positive")
         if self.hdl_lower >= self.total_chol.lower - self.hdl_upper_gap:
@@ -163,7 +119,7 @@ DEFAULT_COHORT_PARAMS = SyntheticCohortParams()
 
 @dataclass
 class CohortTable:
-    """Column-oriented view of a patient sequence, used by the vectorized ops."""
+    """A cohort, one array per covariate, one entry per patient."""
 
     age: np.ndarray
     female: np.ndarray  # bool
@@ -189,36 +145,6 @@ class CohortTable:
             smoker=self.smoker[start:stop],
             diabetes=self.diabetes[start:stop],
             bp_treated=self.bp_treated[start:stop],
-        )
-
-    def row(self, k: int) -> PatientCovariates:
-        return PatientCovariates(
-            age=float(self.age[k]),
-            sex="female" if self.female[k] else "male",
-            race=str(self.race[k]),
-            systolic_bp=float(self.systolic_bp[k]),
-            total_chol=float(self.total_chol[k]),
-            hdl_chol=float(self.hdl_chol[k]),
-            smoker=bool(self.smoker[k]),
-            diabetes=bool(self.diabetes[k]),
-            bp_treated=bool(self.bp_treated[k]),
-        )
-
-    def patients(self) -> list[PatientCovariates]:
-        return [self.row(k) for k in range(len(self))]
-
-    @staticmethod
-    def from_patients(patients: Sequence[PatientCovariates]) -> "CohortTable":
-        return CohortTable(
-            age=np.array([p.age for p in patients], dtype=float),
-            female=np.array([p.sex == "female" for p in patients], dtype=bool),
-            race=np.array([p.race for p in patients], dtype="<U5"),
-            systolic_bp=np.array([p.systolic_bp for p in patients], dtype=float),
-            total_chol=np.array([p.total_chol for p in patients], dtype=float),
-            hdl_chol=np.array([p.hdl_chol for p in patients], dtype=float),
-            smoker=np.array([p.smoker for p in patients], dtype=bool),
-            diabetes=np.array([p.diabetes for p in patients], dtype=bool),
-            bp_treated=np.array([p.bp_treated for p in patients], dtype=bool),
         )
 
 
@@ -255,84 +181,154 @@ def _categorical(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# CSV ingestion
+# The covariate CSV format
 
 
-def _parse_row(row: dict, line_no: int) -> PatientCovariates:
-    def fail(msg: str):
-        raise IngestionError(f"{msg}, row {line_no}")
+def covariate_columns(table: CohortTable) -> list:
+    """The table's covariates as nine ``csv.writer`` columns, in CSV_COLUMNS order.
 
-    vals = {}
-    for col in ("age", "systolic_bp", "total_chol", "hdl_chol"):
-        raw = (row.get(col) or "").strip()
-        if raw == "":
-            fail(f"missing value for {col}")
-        try:
-            vals[col] = float(raw)
-        except ValueError:
-            fail(f"unparseable {col} value {raw!r}")
-    sex = (row.get("sex") or "").strip()
-    race = (row.get("race") or "").strip()
-    flags = {}
-    for col in ("smoker", "diabetes", "bp_treated"):
-        raw = (row.get(col) or "").strip()
-        if raw not in ("0", "1"):
-            fail(f"{col} must be 0 or 1, got {raw!r}")
-        flags[col] = raw == "1"
-    pc = PatientCovariates(
-        age=vals["age"],
-        sex=sex,
-        race=race,
-        systolic_bp=vals["systolic_bp"],
-        total_chol=vals["total_chol"],
-        hdl_chol=vals["hdl_chol"],
-        smoker=flags["smoker"],
-        diabetes=flags["diabetes"],
-        bp_treated=flags["bp_treated"],
-    )
+    Floats are Python floats, which ``csv`` writes with ``repr`` (shortest
+    round-trip form), sex is ``female``/``male`` and flags are ``0``/``1``.
+    """
+    def floats(values):
+        return np.asarray(values, dtype=float).tolist()
+
+    def flags(values):
+        return np.asarray(values).astype(int).tolist()
+
+    return [
+        floats(table.age),
+        np.where(table.female, "female", "male").tolist(),
+        table.race.tolist(),
+        floats(table.systolic_bp),
+        floats(table.total_chol),
+        floats(table.hdl_chol),
+        flags(table.smoker),
+        flags(table.diabetes),
+        flags(table.bp_treated),
+    ]
+
+
+Locate = Callable[[int, str], str]  # (data row index, problem) -> error message
+
+
+def parse_numbers(texts: list, kind, name: str, locate: Locate) -> np.ndarray:
+    """Convert one column's field texts to ``kind``; the first bad field names its row."""
     try:
-        return validate_covariates(pc)
-    except ValidationError as exc:
-        fail(str(exc))
+        return np.fromiter(map(kind, texts), dtype=kind, count=len(texts))
+    except (ValueError, OverflowError):
+        for i, text in enumerate(texts):
+            try:
+                np.array(kind(text), dtype=kind)
+            except (ValueError, OverflowError) as exc:
+                raise IngestionError(locate(i, f"{name}: {exc}")) from exc
+        raise
 
 
-def load_cohort_csv(path) -> list[PatientCovariates]:
-    """Read and validate a cohort CSV; rejects any row failing an invariant."""
+def _categories(texts: list, allowed: tuple, name: str, locate: Locate) -> np.ndarray:
+    if not set(texts) <= set(allowed):
+        i = next(i for i, text in enumerate(texts) if text not in allowed)
+        raise IngestionError(locate(i, f"{name}: {texts[i]!r} is not one of {', '.join(allowed)}"))
+    return np.array(texts, dtype=str)
+
+
+def parse_covariates(columns: dict, locate: Locate) -> CohortTable:
+    """Parse the nine covariate columns (field texts by column name) into a table.
+
+    The first field that does not parse, or a sex, race or flag outside its
+    categories, raises ``IngestionError`` with the message ``locate`` makes
+    from its data row index and the problem.
+    """
+    def numbers(name):
+        return parse_numbers(columns[name], float, name, locate)
+
+    def flags(name):
+        return _categories(columns[name], ("0", "1"), name, locate) == "1"
+
+    return CohortTable(
+        age=numbers("age"),
+        female=_categories(columns["sex"], ("female", "male"), "sex", locate) == "female",
+        race=_categories(columns["race"], RACES, "race", locate).astype("<U5"),
+        systolic_bp=numbers("systolic_bp"),
+        total_chol=numbers("total_chol"),
+        hdl_chol=numbers("hdl_chol"),
+        smoker=flags("smoker"),
+        diabetes=flags("diabetes"),
+        bp_treated=flags("bp_treated"),
+    )
+
+
+def read_csv_columns(path, label: str, required: tuple, locate: Locate) -> dict:
+    """The field texts of a CSV file, column by column, keyed by header name.
+
+    Blank lines are skipped and not counted. A missing file or required
+    column, or a row whose field count differs from the header's, raises
+    ``IngestionError`` (``label`` names the file kind).
+    """
     path = Path(path)
     if not path.exists():
-        raise IngestionError(f"cohort file not found: {path}")
+        raise IngestionError(f"{label} not found: {path}")
     with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in CSV_COLUMNS if c not in header]
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = [c for c in required if c not in header]
         if missing:
-            raise IngestionError(f"missing columns: {', '.join(missing)}")
-        extra = [c for c in header if c not in CSV_COLUMNS]
-        if extra:
-            raise IngestionError(f"unknown columns: {', '.join(extra)}")
-        patients = []
-        for line_no, row in enumerate(reader, start=1):
-            patients.append(_parse_row(row, line_no))
-    return patients
+            raise IngestionError(f"{label} missing columns: {', '.join(missing)}")
+        width = len(header)
+        cells: list[str] = []  # the data fields, row after row
+        for row in reader:
+            if row and len(row) != width:
+                raise IngestionError(
+                    locate(len(cells) // width, f"{len(row)} fields, the header has {width}")
+                )
+            cells += row
+    return {name: cells[j::width] for j, name in enumerate(header)}
 
 
-def save_cohort_csv(path, patients: Iterable[PatientCovariates]) -> None:
-    """Write patients in the ingestion schema; floats use shortest round-trip."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
+def _cohort_row(i: int, problem: str) -> str:
+    return f"{problem}, row {i + 1}"
+
+
+def _check_invariants(table: CohortTable) -> None:
+    """Raise ``IngestionError`` at the first row that breaks a range invariant."""
+    age, tc, hdl = table.age, table.total_chol, table.hdl_chol
+    for name, ok, rule in (
+        ("age", (age >= AGE_MIN) & (age <= AGE_MAX), f"in [{AGE_MIN:.0f}, {AGE_MAX:.0f}]"),
+        ("systolic_bp", table.systolic_bp > 0, "above 0"),
+        ("total_chol", tc > 0, "above 0"),
+        ("hdl_chol", (hdl > 0) & (hdl < tc), "above 0 and below total_chol"),
+    ):
+        values = getattr(table, name)
+        bad = ~(np.isfinite(values) & ok)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise IngestionError(
+                _cohort_row(i, f"{name}: {float(values[i])!r} is not a finite number {rule}")
+            )
+
+
+def load_cohort_csv(path) -> CohortTable:
+    """Read a cohort CSV in the CSV_COLUMNS schema into a table.
+
+    Fields are stripped of surrounding spaces. Every measurement must be
+    finite, age in [40, 79], systolic_bp, total_chol and hdl_chol positive,
+    hdl_chol below total_chol, and sex, race and the flags in their
+    categories; the first violation raises ``IngestionError`` naming the
+    field and the row.
+    """
+    columns = read_csv_columns(path, "cohort file", CSV_COLUMNS, _cohort_row)
+    extra = [c for c in columns if c not in CSV_COLUMNS]
+    if extra:
+        raise IngestionError(f"unknown columns: {', '.join(extra)}")
+    columns = {name: [text.strip() for text in texts] for name, texts in columns.items()}
+    table = parse_covariates(columns, _cohort_row)
+    _check_invariants(table)
+    return table
+
+
+def save_cohort_csv(path, table: CohortTable) -> None:
+    """Write a table in the ingestion schema; floats use shortest round-trip."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
-        for p in patients:
-            writer.writerow(
-                [
-                    repr(float(p.age)),
-                    p.sex,
-                    p.race,
-                    repr(float(p.systolic_bp)),
-                    repr(float(p.total_chol)),
-                    repr(float(p.hdl_chol)),
-                    int(p.smoker),
-                    int(p.diabetes),
-                    int(p.bp_treated),
-                ]
-            )
+        writer.writerows(zip(*covariate_columns(table)))

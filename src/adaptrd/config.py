@@ -9,7 +9,7 @@ are applied to the raw JSON document before parsing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 from typing import Optional, Union
@@ -26,13 +26,7 @@ from .cohort import SyntheticCohortParams, TruncatedNormal
 from .errors import ConfigError
 from .estimator import EstimatorConfig
 from .numerics import GAUSSIAN, LOGIT
-from .outcomes import (
-    BINARY,
-    AscvdParams,
-    AttendanceParams,
-    CholesterolParams,
-    OutcomeModel,
-)
+from .outcomes import BINARY, PARAMS_BY_VARIANT, VARIANTS, OutcomeModel
 
 ThresholdStrategy = Union[FixedThreshold, RateTargetThreshold, NntTargetThreshold]
 ModelStrategy = Union[NoModelUpdate, RecalibrateModel, ReviseModel]
@@ -118,26 +112,39 @@ _TOP_KEYS = {
 }
 
 
+def _check_object(section, where: str) -> None:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
+
+
 def _require_keys(section: dict, allowed: set, where: str) -> None:
+    _check_object(section, where)
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
 
 
 def _get(section: dict, key: str, where: str):
+    _check_object(section, where)
     if key not in section:
         raise ConfigError(f"missing required key '{key}' in {where}")
     return section[key]
 
 
+def _number(value, key: str, kind=float):
+    """``value`` as a ``kind`` (float or int); raises ConfigError naming ``key``
+    for a non-number, a boolean, or a non-integral value for an int."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    if kind is int and not (isinstance(value, int) or value.is_integer()):
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    return kind(value)
+
+
 def _truncated_normal(payload: dict, where: str) -> TruncatedNormal:
-    _require_keys(payload, {"mean", "sd", "lower", "upper"}, where)
-    return TruncatedNormal(
-        mean=float(_get(payload, "mean", where)),
-        sd=float(_get(payload, "sd", where)),
-        lower=float(_get(payload, "lower", where)),
-        upper=float(_get(payload, "upper", where)),
-    )
+    keys = ("mean", "sd", "lower", "upper")
+    _require_keys(payload, set(keys), where)
+    return TruncatedNormal(*(_number(_get(payload, k, where), f"{where}.{k}") for k in keys))
 
 
 _COHORT_PARAM_KEYS = {
@@ -160,76 +167,63 @@ def _cohort_params(payload: dict) -> SyntheticCohortParams:
     _require_keys(payload, _COHORT_PARAM_KEYS, "cohort.params")
     kwargs = {}
     if "age_range" in payload:
-        lo, hi = payload["age_range"]
-        kwargs["age_range"] = (float(lo), float(hi))
+        pair = payload["age_range"]
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise ConfigError(f"cohort.params.age_range must be a [low, high] pair, got {pair!r}")
+        kwargs["age_range"] = tuple(_number(v, "cohort.params.age_range") for v in pair)
     for key in ("systolic_bp", "total_chol"):
         if key in payload:
             kwargs[key] = _truncated_normal(payload[key], f"cohort.params.{key}")
     for key in ("hdl_slope", "hdl_sd", "hdl_lower", "hdl_upper_gap", "p_female",
                 "p_smoker", "p_diabetes", "p_bp_treated"):
         if key in payload:
-            kwargs[key] = float(payload[key])
+            kwargs[key] = _number(payload[key], f"cohort.params.{key}")
     if "race_probs" in payload:
         probs = payload["race_probs"]
         _require_keys(probs, {"white", "black", "other"}, "cohort.params.race_probs")
-        kwargs["race_probs"] = {k: float(v) for k, v in probs.items()}
+        kwargs["race_probs"] = {
+            k: _number(v, f"cohort.params.race_probs.{k}") for k, v in probs.items()
+        }
     return SyntheticCohortParams(**kwargs)
 
 
 def _outcome(payload: dict) -> OutcomeModel:
     _require_keys(payload, {"variant", "params"}, "outcome")
     variant = _get(payload, "variant", "outcome")
-    params_payload = payload.get("params", {})
-    if variant == "attendance":
-        _require_keys(params_payload, {"alpha1", "alpha2"}, "outcome.params")
-        params = AttendanceParams(
-            alpha1=float(params_payload.get("alpha1", AttendanceParams.alpha1)),
-            alpha2=float(params_payload.get("alpha2", AttendanceParams.alpha2)),
-        )
-    elif variant == "cholesterol":
-        _require_keys(params_payload, {"beta1", "beta2", "sigma"}, "outcome.params")
-        params = CholesterolParams(
-            beta1=float(params_payload.get("beta1", CholesterolParams.beta1)),
-            beta2=float(params_payload.get("beta2", CholesterolParams.beta2)),
-            sigma=float(params_payload.get("sigma", CholesterolParams.sigma)),
-        )
-    elif variant == "ascvd":
-        _require_keys(params_payload, {"gamma1", "gamma2", "gamma3"}, "outcome.params")
-        params = AscvdParams(
-            gamma1=float(params_payload.get("gamma1", AscvdParams.gamma1)),
-            gamma2=float(params_payload.get("gamma2", AscvdParams.gamma2)),
-            gamma3=float(params_payload.get("gamma3", AscvdParams.gamma3)),
-        )
-    else:
+    if variant not in VARIANTS:
         raise ConfigError(f"unknown outcome variant: {variant!r}")
-    return OutcomeModel(variant, params)
+    cls = PARAMS_BY_VARIANT[variant]
+    params = payload.get("params", {})
+    _require_keys(params, {f.name for f in fields(cls)}, "outcome.params")
+    return OutcomeModel(
+        variant, cls(**{k: _number(v, f"outcome.params.{k}") for k, v in params.items()})
+    )
 
 
 def _threshold_strategy(payload: dict, warmup: int, update_every: int):
-    kind = _get(payload, "kind", "threshold_strategy")
+    where = "threshold_strategy"
+    kind = _get(payload, "kind", where)
     if kind == "fixed":
-        _require_keys(payload, {"kind", "c"}, "threshold_strategy")
-        return FixedThreshold(float(_get(payload, "c", "threshold_strategy")))
+        _require_keys(payload, {"kind", "c"}, where)
+        return FixedThreshold(_number(_get(payload, "c", where), f"{where}.c"))
     if kind == "rate_target":
-        _require_keys(
-            payload, {"kind", "target_rate", "warmup", "update_every"}, "threshold_strategy"
-        )
+        _require_keys(payload, {"kind", "target_rate", "warmup", "update_every"}, where)
         return RateTargetThreshold(
-            target_rate=float(_get(payload, "target_rate", "threshold_strategy")),
-            warmup=int(payload.get("warmup", warmup)),
-            update_every=int(payload.get("update_every", update_every)),
+            target_rate=_number(_get(payload, "target_rate", where), f"{where}.target_rate"),
+            warmup=_number(payload.get("warmup", warmup), f"{where}.warmup", int),
+            update_every=_number(
+                payload.get("update_every", update_every), f"{where}.update_every", int
+            ),
         )
     if kind == "nnt_target":
-        _require_keys(
-            payload,
-            {"kind", "nnt", "warmup", "update_every", "smoothing"},
-            "threshold_strategy",
-        )
+        _require_keys(payload, {"kind", "nnt", "warmup", "update_every", "smoothing"}, where)
         return NntTargetThreshold(
-            nnt=float(_get(payload, "nnt", "threshold_strategy")),
-            warmup=int(payload.get("warmup", warmup)),
-            update_every=int(payload.get("update_every", update_every)),
-            smoothing=float(payload.get("smoothing", 0.5)),
+            nnt=_number(_get(payload, "nnt", where), f"{where}.nnt"),
+            warmup=_number(payload.get("warmup", warmup), f"{where}.warmup", int),
+            update_every=_number(
+                payload.get("update_every", update_every), f"{where}.update_every", int
+            ),
+            smoothing=_number(payload.get("smoothing", 0.5), f"{where}.smoothing"),
         )
     raise ConfigError(f"unknown threshold strategy kind: {kind!r}")
 
@@ -245,9 +239,11 @@ def _model_strategy(payload: dict, warmup: int, update_every: int):
         )
         cls = RecalibrateModel if kind == "recalibrate" else ReviseModel
         return cls(
-            warmup=int(payload.get("warmup", warmup)),
-            update_every=int(payload.get("update_every", update_every)),
-            shrink_n0=int(payload.get("shrink_n0", 5000)),
+            warmup=_number(payload.get("warmup", warmup), "model_strategy.warmup", int),
+            update_every=_number(
+                payload.get("update_every", update_every), "model_strategy.update_every", int
+            ),
+            shrink_n0=_number(payload.get("shrink_n0", 5000), "model_strategy.shrink_n0", int),
         )
     raise ConfigError(f"unknown model strategy kind: {kind!r}")
 
@@ -264,15 +260,13 @@ _ESTIMATOR_KEYS = {
 
 def _estimator(payload: dict) -> EstimatorConfig:
     _require_keys(payload, _ESTIMATOR_KEYS, "estimator")
-    casts = {
-        "spline_df": int,
-        "pca_variance": float,
-        "bandwidth": float,
-        "family": str,
-        "confidence": float,
-        "min_effective": float,
+    kwargs = {
+        key: _number(value, f"estimator.{key}", int if key == "spline_df" else float)
+        for key, value in payload.items()
+        if key != "family"
     }
-    kwargs = {key: casts[key](payload[key]) for key in payload}
+    if "family" in payload:
+        kwargs["family"] = str(payload["family"])
     return EstimatorConfig(**kwargs)
 
 
@@ -281,9 +275,9 @@ def parse_config(payload: dict) -> ScenarioConfig:
     if not isinstance(payload, dict):
         raise ConfigError("config document must be a JSON object")
     _require_keys(payload, _TOP_KEYS, "config")
-    scenario = int(_get(payload, "scenario", "config"))
-    warmup = int(payload.get("warmup", 400))
-    update_every = int(payload.get("update_every", 100))
+    scenario = _number(_get(payload, "scenario", "config"), "scenario", int)
+    warmup = _number(payload.get("warmup", 400), "warmup", int)
+    update_every = _number(payload.get("update_every", 100), "update_every", int)
 
     cohort_payload = payload.get("cohort", {"source": "synthetic"})
     _require_keys(cohort_payload, {"source", "params", "path"}, "cohort")
@@ -303,11 +297,11 @@ def parse_config(payload: dict) -> ScenarioConfig:
 
     return ScenarioConfig(
         scenario_id=scenario,
-        n_patients=int(payload.get("n_patients", 3000)),
+        n_patients=_number(payload.get("n_patients", 3000), "n_patients", int),
         warmup=warmup,
         update_every=update_every,
-        initial_threshold=float(payload.get("initial_threshold", 0.10)),
-        seed=int(payload.get("seed", 0)),
+        initial_threshold=_number(payload.get("initial_threshold", 0.10), "initial_threshold"),
+        seed=_number(payload.get("seed", 0), "seed", int),
         cohort_params=cohort_params,
         cohort_csv=cohort_csv,
         outcome=_outcome(_get(payload, "outcome", "config")),

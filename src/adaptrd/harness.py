@@ -112,12 +112,13 @@ class TrialData:
 
 def _resolve_cohort(config: ScenarioConfig, stream: SeedStream) -> CohortTable:
     if config.cohort_csv is not None:
-        patients = load_cohort_csv(config.cohort_csv)
-        if len(patients) < config.n_patients:
-            raise ConfigError(
-                f"cohort file has {len(patients)} rows, need {config.n_patients}"
-            )
-        return CohortTable.from_patients(patients[: config.n_patients])
+        table = load_cohort_csv(config.cohort_csv)
+        if len(table) < config.n_patients:
+            raise ConfigError(f"cohort file has {len(table)} rows, need {config.n_patients}")
+        return table.slice(0, config.n_patients)
+    # Looked up at call time, not imported at module level, so that rebinding
+    # adaptrd.cohort.sample_cohort (bench/tracer.py times it that way) takes
+    # effect here.
     from .cohort import sample_cohort
 
     return sample_cohort(config.cohort_params, stream, config.n_patients)

@@ -82,6 +82,11 @@ class AscvdParams:
 
 
 ParamsType = Union[AttendanceParams, CholesterolParams, AscvdParams]
+PARAMS_BY_VARIANT = {
+    ATTENDANCE: AttendanceParams,
+    CHOLESTEROL: CholesterolParams,
+    ASCVD: AscvdParams,
+}
 
 
 @dataclass(frozen=True)
@@ -92,18 +97,9 @@ class OutcomeModel:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown outcome variant: {self.variant}")
+        expected = PARAMS_BY_VARIANT[self.variant]
         if self.params is None:
-            defaults = {
-                ATTENDANCE: AttendanceParams,
-                CHOLESTEROL: CholesterolParams,
-                ASCVD: AscvdParams,
-            }
-            object.__setattr__(self, "params", defaults[self.variant]())
-        expected = {
-            ATTENDANCE: AttendanceParams,
-            CHOLESTEROL: CholesterolParams,
-            ASCVD: AscvdParams,
-        }[self.variant]
+            object.__setattr__(self, "params", expected())
         if not isinstance(self.params, expected):
             raise ConfigError(
                 f"{self.variant} outcome needs {expected.__name__} params"

@@ -20,9 +20,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cohort import CohortTable, PatientCovariates
+from .cohort import CohortTable
 from .errors import ConfigError, NumericError, ValidationError
 
+# female before male, white before black: the order subgroup_index counts in
 SUBGROUPS = ("white_female", "black_female", "white_male", "black_male")
 
 PCE_TERMS = (
@@ -113,10 +114,9 @@ def load_coefficients_file(path) -> PceCoefficientSet:
     return _parse_coefficient_json(payload)
 
 
-def subgroup_for(pc: PatientCovariates) -> str:
-    """Resolve the coefficient subgroup; race 'other' uses the white tables."""
-    race = "black" if pc.race == "black" else "white"
-    return f"{race}_{pc.sex}"
+def subgroup_index(table: CohortTable) -> np.ndarray:
+    """Each patient's position in SUBGROUPS; race 'other' uses the white tables."""
+    return np.where(table.female, 0, 2) + (table.race == "black")
 
 
 def _pce_term_values(table: CohortTable) -> dict:
@@ -150,26 +150,13 @@ def unstratified_design(table: CohortTable) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def pce_risk(lp: float, s0: float, lp_bar: float) -> float:
-    """10-year risk = 1 - s0^exp(lp - lp_bar), clamped away from {0, 1}."""
-    if not 0.0 < s0 < 1.0:
-        raise ValidationError("s0 must lie in (0, 1)")
-    if not math.isfinite(lp) or not math.isfinite(lp_bar):
-        raise NumericError("linear predictor must be finite")
-    risk = 1.0 - s0 ** math.exp(lp - lp_bar)
-    return min(max(risk, RISK_FLOOR), RISK_CEIL)
-
-
 def _pce_risk_batch(table: CohortTable, coeffs: PceCoefficientSet) -> np.ndarray:
     terms = _pce_term_values(table)
     n = len(table)
-    black = table.race == "black"
+    index = subgroup_index(table)
     out = np.empty(n)
-    for name in SUBGROUPS:
-        race, sex = name.split("_")
-        mask = (black if race == "black" else ~black) & (
-            table.female if sex == "female" else ~table.female
-        )
+    for k, name in enumerate(SUBGROUPS):
+        mask = index == k
         if not mask.any():
             continue
         sg = coeffs.subgroups[name]

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cohort import RACES, CohortTable
+from .cohort import covariate_columns, parse_covariates, parse_numbers, read_csv_columns
 from .errors import IngestionError
 from .estimator import EffectCurve
 from .harness import AdaptationEvent, TrialData
@@ -70,18 +70,9 @@ def _ints(values) -> list:
 
 
 def write_trial_csv(trial: TrialData, path) -> None:
-    cov = trial.covariates
     columns = (
         range(1, trial.n + 1),
-        _floats(cov.age),
-        np.where(cov.female, "female", "male").tolist(),
-        cov.race.tolist(),
-        _floats(cov.systolic_bp),
-        _floats(cov.total_chol),
-        _floats(cov.hdl_chol),
-        _ints(cov.smoker),
-        _ints(cov.diabetes),
-        _ints(cov.bp_treated),
+        *covariate_columns(trial.covariates),
         _ints(trial.model_version),
         _floats(trial.threshold),
         _floats(trial.raw_risk),
@@ -115,74 +106,21 @@ class LoggedTrial:
         return list(zip(self.model_version.tolist(), self.threshold.tolist()))
 
 
-def _parse_column(texts: list, kind, name: str) -> np.ndarray:
-    """Convert one column's field texts; the first bad field names its line."""
-    try:
-        return np.fromiter(map(kind, texts), dtype=kind, count=len(texts))
-    except (ValueError, OverflowError):
-        for i, text in enumerate(texts):
-            try:
-                np.array(kind(text), dtype=kind)
-            except (ValueError, OverflowError) as exc:
-                raise IngestionError(f"trial file line {i + 2}: {name}: {exc}") from exc
-        raise
+def _trial_line(i: int, problem: str) -> str:
+    return f"trial file line {i + 2}: {problem}"
 
 
 def read_trial_csv(path) -> LoggedTrial:
     """Re-read a trial.csv; blank lines are skipped and not counted in line numbers."""
-    path = Path(path)
-    if not path.exists():
-        raise IngestionError(f"trial file not found: {path}")
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in TRIAL_COLUMNS if c not in header]
-        if missing:
-            raise IngestionError(f"trial file missing columns: {', '.join(missing)}")
-        width = len(header)
-        cells: list[str] = []  # the data fields, row after row
-        for row in reader:
-            if row and len(row) != width:
-                raise IngestionError(
-                    f"trial file line {len(cells) // width + 2}: "
-                    f"{len(row)} fields, the header has {width}"
-                )
-            cells += row
-    if not cells:
+    columns = read_csv_columns(path, "trial file", TRIAL_COLUMNS, _trial_line)
+    if not columns["index"]:
         raise IngestionError("trial file has no data rows")
-    where = {name: j for j, name in enumerate(header)}
-
-    def text(name: str) -> list:
-        return cells[where[name]::width]
 
     def numbers(name: str, kind=float) -> np.ndarray:
-        return _parse_column(text(name), kind, name)
+        return parse_numbers(columns[name], kind, name, _trial_line)
 
-    def categories(name: str, allowed: tuple) -> np.ndarray:
-        values = text(name)
-        if not set(values) <= set(allowed):
-            i = next(i for i, value in enumerate(values) if value not in allowed)
-            raise IngestionError(
-                f"trial file line {i + 2}: {name}: {values[i]!r} is not one of {', '.join(allowed)}"
-            )
-        return np.asarray(values)
-
-    def flags(name: str) -> np.ndarray:
-        return categories(name, ("0", "1")) == "1"
-
-    covariates = CohortTable(
-        age=numbers("age"),
-        female=categories("sex", ("female", "male")) == "female",
-        race=categories("race", RACES).astype("<U5"),
-        systolic_bp=numbers("systolic_bp"),
-        total_chol=numbers("total_chol"),
-        hdl_chol=numbers("hdl_chol"),
-        smoker=flags("smoker"),
-        diabetes=flags("diabetes"),
-        bp_treated=flags("bp_treated"),
-    )
     return LoggedTrial(
-        covariates=covariates,
+        covariates=parse_covariates(columns, _trial_line),
         model_version=numbers("model_version", int),
         threshold=numbers("threshold"),
         raw_risk=numbers("raw_risk"),

@@ -79,34 +79,51 @@ def phi_series(x: float) -> float:
     return 0.5 * (1.0 + 2.0 / math.sqrt(math.pi) * total)
 
 
-def pce_linear_predictor(patient, coeffs) -> float:
-    """Pooled-cohort linear predictor of one patient, summed term by term.
+def pce_subgroup(row) -> str:
+    """Coefficient subgroup of a one-row table; race ``other`` uses the white tables."""
+    race = "black" if row.race.item() == "black" else "white"
+    return f"{race}_{'female' if row.female.item() else 'male'}"
+
+
+def pce_linear_predictor(row, coeffs) -> float:
+    """Pooled-cohort linear predictor of a one-row table, summed term by term.
 
     Written from the coefficient table's term names with scalar ``math``
-    functions; race ``other`` uses the white tables.
+    functions.
     """
-    ln_age = math.log(patient.age)
-    ln_sbp = math.log(patient.systolic_bp)
-    treated = 1.0 if patient.bp_treated else 0.0
-    smoker = 1.0 if patient.smoker else 0.0
+    age, sbp, total_chol, hdl = (
+        getattr(row, name).item() for name in ("age", "systolic_bp", "total_chol", "hdl_chol")
+    )
+    ln_age = math.log(age)
+    ln_sbp = math.log(sbp)
+    treated = 1.0 if row.bp_treated.item() else 0.0
+    smoker = 1.0 if row.smoker.item() else 0.0
     values = {
         "ln_age": ln_age,
         "ln_age_sq": ln_age * ln_age,
-        "ln_total_chol": math.log(patient.total_chol),
-        "ln_age_x_ln_total_chol": ln_age * math.log(patient.total_chol),
-        "ln_hdl": math.log(patient.hdl_chol),
-        "ln_age_x_ln_hdl": ln_age * math.log(patient.hdl_chol),
+        "ln_total_chol": math.log(total_chol),
+        "ln_age_x_ln_total_chol": ln_age * math.log(total_chol),
+        "ln_hdl": math.log(hdl),
+        "ln_age_x_ln_hdl": ln_age * math.log(hdl),
         "ln_sbp_treated": ln_sbp * treated,
         "ln_age_x_ln_sbp_treated": ln_age * ln_sbp * treated,
         "ln_sbp_untreated": ln_sbp * (1.0 - treated),
         "ln_age_x_ln_sbp_untreated": ln_age * ln_sbp * (1.0 - treated),
         "smoker": smoker,
         "ln_age_x_smoker": ln_age * smoker,
-        "diabetes": 1.0 if patient.diabetes else 0.0,
+        "diabetes": 1.0 if row.diabetes.item() else 0.0,
     }
-    race = "black" if patient.race == "black" else "white"
-    table = coeffs.subgroups[f"{race}_{patient.sex}"]
+    table = coeffs.subgroups[pce_subgroup(row)]
     return sum(c * values[term] for term, c in table.terms.items())
+
+
+def pce_risk(lp: float, s0: float, lp_bar: float) -> float:
+    """10-year risk = 1 - s0^exp(lp - lp_bar), clamped away from {0, 1}.
+
+    The package's former scalar formula, kept as the reference for the batch one.
+    """
+    risk = 1.0 - s0 ** math.exp(lp - lp_bar)
+    return min(max(risk, 1e-12), 1.0 - 1e-12)
 
 
 def dense_design_reference(shifted, focal_index, treatments, outcomes, config, r):

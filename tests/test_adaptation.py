@@ -18,7 +18,7 @@ from adaptrd.adaptation import (
     threshold_for_nnt,
     threshold_for_rate,
 )
-from adaptrd.cohort import DEFAULT_COHORT_PARAMS, CohortTable, PatientCovariates, sample_cohort
+from adaptrd.cohort import DEFAULT_COHORT_PARAMS, CohortTable, sample_cohort
 from adaptrd.errors import ConfigError, InsufficientDataError, ValidationError
 from adaptrd.numerics import normal_cdf
 from adaptrd.outcomes import AscvdParams, OutcomeModel, draw_noise, outcomes_from_noise
@@ -208,10 +208,14 @@ class TestRevise:
         table, a, y, model = _simulated_update_inputs(2000, AscvdParams())
         revised = revise_model(table, a, y, model)
         assert revised.kind == GLM_UNSTRATIFIED
-        twin_a = PatientCovariates(60.0, "male", "white", 130.0, 200.0, 50.0, False, False, False)
-        twin_b = PatientCovariates(60.0, "male", "black", 130.0, 200.0, 50.0, False, False, False)
-        twin_c = PatientCovariates(60.0, "female", "black", 130.0, 200.0, 50.0, False, False, False)
-        ra, rb, rc = predict_risk_batch(revised, CohortTable.from_patients([twin_a, twin_b, twin_c]))
+        # three twins: white male, black male, black female
+        twins = CohortTable(
+            age=np.full(3, 60.0), female=np.array([False, False, True]),
+            race=np.array(["white", "black", "black"]), systolic_bp=np.full(3, 130.0),
+            total_chol=np.full(3, 200.0), hdl_chol=np.full(3, 50.0),
+            smoker=np.zeros(3, bool), diabetes=np.zeros(3, bool), bp_treated=np.zeros(3, bool),
+        )
+        ra, rb, rc = predict_risk_batch(revised, twins)
         assert ra == rb == rc
 
     def test_risks_stay_in_unit_interval(self):

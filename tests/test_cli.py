@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -301,7 +302,7 @@ class TestRisk:
 
         table = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(55), 80)
         src = tmp_path / "in.csv"
-        save_cohort_csv(src, table.patients())
+        save_cohort_csv(src, table)
         dst = tmp_path / "out.csv"
         run_cli("risk", "--input", str(src), "--output", str(dst))
         with dst.open() as fh:
@@ -310,15 +311,17 @@ class TestRisk:
         assert all(0.0 <= float(r["risk"]) <= 1.0 for r in rows)
 
     def test_batch_output_is_byte_identical_to_per_patient_scoring(self, tmp_path):
-        from adaptrd.cohort import DEFAULT_COHORT_PARAMS, CohortTable, sample_cohort, save_cohort_csv
-        from adaptrd.risk_engine import original_pce_model, predict_risk_batch, subgroup_for
+        from adaptrd.cohort import DEFAULT_COHORT_PARAMS, sample_cohort, save_cohort_csv
+        from adaptrd.risk_engine import original_pce_model, predict_risk_batch
+        from oracles import pce_subgroup
 
-        patients = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(56), 400).patients()
-        assert {subgroup_for(p) for p in patients} == {
+        table = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(56), 400)
+        patients = [table.slice(k, k + 1) for k in range(400)]
+        assert {pce_subgroup(p) for p in patients} == {
             "white_female", "black_female", "white_male", "black_male"
         }
         src = tmp_path / "in.csv"
-        save_cohort_csv(src, patients)
+        save_cohort_csv(src, table)
         dst = tmp_path / "out.csv"
         assert run_cli("risk", "--input", str(src), "--output", str(dst)) == 0
         # the file the command wrote when it scored one patient at a time
@@ -329,10 +332,10 @@ class TestRisk:
             writer.writerow(self.HEADER.strip().split(",") + ["subgroup", "risk"])
             for p in patients:
                 writer.writerow(
-                    [repr(float(p.age)), p.sex, p.race, repr(float(p.systolic_bp)),
-                     repr(float(p.total_chol)), repr(float(p.hdl_chol)), int(p.smoker),
-                     int(p.diabetes), int(p.bp_treated), subgroup_for(p),
-                     repr(float(predict_risk_batch(model, CohortTable.from_patients([p]))[0]))]
+                    [repr(p.age.item()), "female" if p.female.item() else "male", p.race.item(),
+                     repr(p.systolic_bp.item()), repr(p.total_chol.item()), repr(p.hdl_chol.item()),
+                     int(p.smoker.item()), int(p.diabetes.item()), int(p.bp_treated.item()),
+                     pce_subgroup(p), repr(float(predict_risk_batch(model, p)[0]))]
                 )
         assert dst.read_bytes() == expected.read_bytes()
 
@@ -365,3 +368,33 @@ class TestValidateConfig:
         }
         for name, override in mutations.items():
             assert run_cli("validate-config", "--config", name, "--override", override) == 2
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("n_patients=abc", "n_patients must be a number, got 'abc'"),
+            ("n_patients=3000.9", "n_patients must be an integer, got 3000.9"),
+            ("estimator.spline_df=2.7", "estimator.spline_df must be an integer, got 2.7"),
+            ("estimator.spline_df=true", "estimator.spline_df must be a number, got True"),
+            ("seed=null", "seed must be a number, got None"),
+            ("threshold_strategy.target_rate=high",
+             "threshold_strategy.target_rate must be a number, got 'high'"),
+            ("outcome.params.alpha1=[0.1]", r"outcome.params.alpha1 must be a number, got \[0.1\]"),
+            ("cohort.params.p_female=false", "cohort.params.p_female must be a number, got False"),
+            ("model_strategy.warmup=400.5", "model_strategy.warmup must be an integer, got 400.5"),
+            ("cohort.params.age_range=5", r"cohort.params.age_range must be a \[low, high\] pair"),
+            ("outcome.params=3", "outcome.params must be a JSON object, got 3"),
+            ("threshold_strategy=3", "threshold_strategy must be a JSON object, got 3"),
+        ],
+    )
+    def test_values_of_the_wrong_type_exit_2(self, capsys, override, message):
+        config = "scenario4" if override.startswith("model_strategy") else "scenario1"
+        code = run_cli("validate-config", "--config", config, "--override", override)
+        assert code == 2
+        assert re.search(message, capsys.readouterr().err)
+
+    def test_integral_numbers_accepted_for_integer_fields(self, capsys):
+        code = run_cli("validate-config", "--config", "scenario1",
+                       "--override", "n_patients=2000.0", "--override", "estimator.spline_df=3")
+        assert code == 0
+        assert "n_patients=2000," in capsys.readouterr().out

@@ -27,6 +27,7 @@ from adaptrd.numerics import GAUSSIAN, LOGIT, fit_glm
 from adaptrd.outcomes import AscvdParams, OutcomeModel, draw_noise, outcomes_from_noise
 from adaptrd.seeds import SeedStream
 from oracles import aipw_ate_reference, ipw_ate_reference, outcome_regression_ate_reference
+from tables import concat
 
 
 def small_preset(sid, seed=9, n=700, **overrides):
@@ -236,10 +237,10 @@ class TestRunScenario:
         # depend on them.
         from adaptrd.cohort import DEFAULT_COHORT_PARAMS, sample_cohort, save_cohort_csv
 
-        head = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(81), 900).patients()
-        tail = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(82), 100).patients()
+        head = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(81), 900)
+        tail = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(82), 100)
         trials = []
-        for name, patients in (("a", head), ("b", head[:800] + tail)):
+        for name, patients in (("a", head), ("b", concat(head.slice(0, 800), tail))):
             path = tmp_path / f"{name}.csv"
             save_cohort_csv(path, patients)
             trials.append(run_scenario(small_preset(5, n=900, cohort_csv=str(path))))
@@ -262,7 +263,7 @@ class TestRunScenario:
 
         table = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(77), 600)
         path = tmp_path / "cohort.csv"
-        save_cohort_csv(path, table.patients())
+        save_cohort_csv(path, table)
         cfg = scenario_preset(1, n_patients=500, cohort_csv=str(path), seed=5)
         trial = run_scenario(cfg)
         assert trial.n == 500
@@ -273,7 +274,7 @@ class TestRunScenario:
 
         table = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(78), 100)
         path = tmp_path / "cohort.csv"
-        save_cohort_csv(path, table.patients())
+        save_cohort_csv(path, table)
         cfg = scenario_preset(1, n_patients=500, cohort_csv=str(path))
         with pytest.raises(ConfigError, match="100 rows"):
             run_scenario(cfg)

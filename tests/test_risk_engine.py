@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from adaptrd.cohort import DEFAULT_COHORT_PARAMS, CohortTable, PatientCovariates, sample_cohort
-from adaptrd.errors import ConfigError, NumericError, ValidationError
+from adaptrd.cohort import DEFAULT_COHORT_PARAMS, CohortTable, sample_cohort
+from adaptrd.errors import ConfigError, ValidationError
 from adaptrd.harness import run_scenario, scenario_preset
 from adaptrd.risk_engine import (
     GLM_UNSTRATIFIED,
@@ -23,39 +23,43 @@ from adaptrd.risk_engine import (
     load_coefficients_file,
     load_default_coefficients,
     original_pce_model,
-    pce_risk,
     predict_risk_batch,
     recalibrated_coefficients,
-    subgroup_for,
+    subgroup_index,
 )
 from adaptrd.seeds import SeedStream
-from oracles import pce_linear_predictor
+from oracles import pce_linear_predictor, pce_risk, pce_subgroup
+from tables import one_row
 
 
-def make_patient(**overrides) -> PatientCovariates:
+def make_patient(**overrides) -> CohortTable:
     base = dict(
-        age=60.0, sex="female", race="white", systolic_bp=130.0,
+        age=60.0, female=True, race="white", systolic_bp=130.0,
         total_chol=200.0, hdl_chol=55.0, smoker=True, diabetes=True,
         bp_treated=True,
     )
     base.update(overrides)
-    return PatientCovariates(**base)
+    return one_row(**base)
 
 
-def constant_coeffs(terms=None) -> PceCoefficientSet:
+def constant_coeffs(terms=None, s0=0.9, lp_bar=0.0) -> PceCoefficientSet:
     terms = terms or {}
     return PceCoefficientSet(
-        {name: SubgroupCoefficients(terms=dict(terms), s0=0.9, lp_bar=0.0) for name in SUBGROUPS}
+        {name: SubgroupCoefficients(terms=dict(terms), s0=s0, lp_bar=lp_bar) for name in SUBGROUPS}
     )
 
 
-def predict_one(model: RiskModelVersion, patient: PatientCovariates) -> float:
-    return float(predict_risk_batch(model, CohortTable.from_patients([patient]))[0])
+def predict_one(model: RiskModelVersion, patient: CohortTable) -> float:
+    return float(predict_risk_batch(model, patient)[0])
 
 
-def scored_lp(patient: PatientCovariates, coeffs: PceCoefficientSet) -> float:
+def constant_pce(terms=None, s0=0.9, lp_bar=0.0) -> RiskModelVersion:
+    return RiskModelVersion(0, PCE_STRATIFIED, "original", coefficients=constant_coeffs(terms, s0, lp_bar))
+
+
+def scored_lp(patient: CohortTable, coeffs: PceCoefficientSet) -> float:
     """The linear predictor behind the batch risk, by inverting 1 - s0^exp(lp - lp_bar)."""
-    sg = coeffs.subgroups[subgroup_for(patient)]
+    sg = coeffs.subgroups[pce_subgroup(patient)]
     risk = predict_one(RiskModelVersion(0, PCE_STRATIFIED, "original", coefficients=coeffs), patient)
     return math.log(math.log1p(-risk) / math.log(sg.s0)) + sg.lp_bar
 
@@ -102,31 +106,41 @@ class TestLinearPredictor:
             ("female", "black"): 0.030,
         }
         for (sex, race), expected in cases.items():
-            p = PatientCovariates(55.0, sex, race, 120.0, 213.0, 50.0, False, False, False)
+            p = one_row(
+                age=55.0, female=sex == "female", race=race, systolic_bp=120.0, total_chol=213.0,
+                hdl_chol=50.0, smoker=False, diabetes=False, bp_treated=False,
+            )
             assert predict_one(model, p) == pytest.approx(expected, abs=0.001)
 
 
 class TestPceRisk:
+    """The batch PCE's 1 - s0^exp(lp - lp_bar), driven through one diabetic patient."""
+
     def test_lp_at_mean_gives_one_minus_s0(self):
-        assert pce_risk(2.0, 0.9, 2.0) == pytest.approx(0.1, abs=1e-15)
+        model = constant_pce({"diabetes": 2.0}, lp_bar=2.0)
+        assert predict_one(model, make_patient()) == pytest.approx(0.1, abs=1e-15)
 
     def test_low_lp_limit_clamps_to_floor(self):
-        assert pce_risk(-1e3, 0.9, 0.0) == pytest.approx(1e-12)
+        assert predict_one(constant_pce({"diabetes": -1e3}), make_patient()) == pytest.approx(1e-12)
 
     def test_doubling_exponent_oracle(self):
         # s0=0.95, lp - lp_bar = ln 2 -> 1 - 0.95^2
-        assert pce_risk(math.log(2.0), 0.95, 0.0) == pytest.approx(1 - 0.95**2, abs=1e-15)
+        model = constant_pce({"diabetes": math.log(2.0)}, s0=0.95)
+        assert predict_one(model, make_patient()) == pytest.approx(1 - 0.95**2, abs=1e-15)
 
     def test_monotone_in_lp(self):
+        # ln_age is the only term, so lp = ln(age) runs over [-4, 4]
         lps = np.linspace(-4, 4, 200)
-        risks = [pce_risk(lp, 0.9, 0.0) for lp in lps]
+        table = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(3), 200)
+        table.age = np.exp(lps)
+        risks = predict_risk_batch(constant_pce({"ln_age": 1.0}), table).tolist()
         assert all(a < b for a, b in zip(risks, risks[1:]))
 
     def test_invalid_inputs(self):
-        with pytest.raises(ValidationError):
-            pce_risk(0.0, 1.5, 0.0)
-        with pytest.raises(NumericError):
-            pce_risk(float("nan"), 0.9, 0.0)
+        with pytest.raises(ConfigError, match="s0"):
+            constant_coeffs(s0=1.5)
+        with pytest.raises(ConfigError, match="lp_bar"):
+            constant_coeffs(lp_bar=float("nan"))
 
 
 class TestPredictRisk:
@@ -142,10 +156,10 @@ class TestPredictRisk:
         model = original_pce_model()
         table = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(3), 50)
         batch = predict_risk_batch(model, table)
-        patients = [make_patient()] + table.patients()
-        assert {subgroup_for(p) for p in patients} == set(SUBGROUPS)
+        patients = [make_patient()] + [table.slice(k, k + 1) for k in range(50)]
+        assert {pce_subgroup(p) for p in patients} == set(SUBGROUPS)
         for risk, p in zip([predict_one(model, make_patient())] + batch.tolist(), patients):
-            sg = model.coefficients.subgroups[subgroup_for(p)]
+            sg = model.coefficients.subgroups[pce_subgroup(p)]
             expected = pce_risk(pce_linear_predictor(p, model.coefficients), sg.s0, sg.lp_bar)
             assert risk == pytest.approx(expected, abs=1e-15)
 
@@ -153,7 +167,7 @@ class TestPredictRisk:
         model = original_pce_model()
         white = make_patient(race="white")
         other = make_patient(race="other")
-        assert subgroup_for(other) == "white_female"
+        assert SUBGROUPS[subgroup_index(other)[0]] == "white_female"
         assert predict_one(model, white) == predict_one(model, other)
 
     def test_batch_matches_scalar(self):
@@ -161,7 +175,7 @@ class TestPredictRisk:
         table = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(3), 50)
         batch = predict_risk_batch(model, table)
         for k in range(50):
-            assert batch[k] == pytest.approx(predict_one(model, table.row(k)), abs=1e-15)
+            assert batch[k] == pytest.approx(predict_one(model, table.slice(k, k + 1)), abs=1e-15)
 
 
 class TestAssignTreatment:
@@ -351,7 +365,7 @@ class TestCounterfactualMatrix:
         assert matrix.raw.shape == (400, 2)
         # oracle: per-cell recomputation, scoring one patient at a time
         for k in (0, 57, 199, 200, 399):
-            pc = table.row(k)
+            pc = table.slice(k, k + 1)
             for j in (1, 200, 201, 400):
                 expected = predict_one(models[j - 1], pc) - thresholds[j - 1]
                 got = matrix.shifted_column(matrix.column_map[j - 1])[k]

@@ -48,3 +48,20 @@ def test_replication_and_history_sites_resolve():
 def test_fit_glm_roles_name_traced_spans():
     spans = {name for _, _, name in tracer.TRACED_CALLS}
     assert set(tracer.FIT_GLM_ROLES) <= spans
+
+
+def test_run_scenario_calls_the_rebound_sample_cohort(monkeypatch):
+    # harness looks sample_cohort up at call time; a module-level import
+    # would keep the original and the traced cohort.sample_cohort span
+    # would silently read zero.
+    cohort, harness = _module("cohort"), _module("harness")
+    calls = []
+    original = cohort.sample_cohort
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cohort, "sample_cohort", spy)
+    trial = harness.run_scenario(harness.scenario_preset(1, n_patients=600))
+    assert len(calls) == 1 and trial.n == 600
