@@ -177,6 +177,14 @@ def _build_design(arm_flags, b0, b1, scores) -> np.ndarray:
     return np.column_stack(cols)
 
 
+def _require_arm_sizes(n_untreated, n_treated) -> None:
+    """Raise ``InsufficientDataError`` naming each arm below ``MIN_PER_ARM``."""
+    counts = (("untreated", n_untreated), ("treated", n_treated))
+    short = " and ".join(arm for arm, count in counts if count < MIN_PER_ARM)
+    if short:
+        raise InsufficientDataError(f"too few {short} patients: need at least {MIN_PER_ARM} per arm")
+
+
 def fit_outcome_surface(
     matrix: CounterfactualRiskMatrix,
     treatments: np.ndarray,
@@ -197,10 +205,7 @@ def fit_outcome_surface(
         raise ValidationError("treatments/outcomes must align with the matrix rows")
     n1 = int(np.sum(treatments == 1))
     n0 = n - n1
-    if min(n0, n1) < MIN_PER_ARM:
-        raise InsufficientDataError(
-            f"need at least {MIN_PER_ARM} patients per arm, got {n0} untreated / {n1} treated"
-        )
+    _require_arm_sizes(n0, n1)
     focal_col = matrix.focal_index
     focal = matrix.focal_shifted
     if float(focal.max() - focal.min()) <= 1e-12:
@@ -421,8 +426,7 @@ def _comparator_checks(covariates, treatments, outcomes, focal_risks):
     n = len(covariates)
     if treatments.shape != (n,) or outcomes.shape != (n,) or focal_risks.shape != (n,):
         raise ValidationError("comparator inputs must have aligned lengths")
-    if np.sum(treatments == 1) < MIN_PER_ARM or np.sum(treatments == 0) < MIN_PER_ARM:
-        raise InsufficientDataError(f"need at least {MIN_PER_ARM} patients per arm")
+    _require_arm_sizes(np.sum(treatments == 0), np.sum(treatments == 1))
     return treatments, outcomes, focal_risks
 
 

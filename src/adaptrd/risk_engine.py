@@ -22,6 +22,7 @@ import numpy as np
 
 from .cohort import CohortTable
 from .errors import ConfigError, NumericError, ValidationError
+from .rowfile import write_row_file
 
 # female before male, white before black: the order subgroup_index counts in
 SUBGROUPS = ("white_female", "black_female", "white_male", "black_male")
@@ -382,18 +383,23 @@ def export_matrix_csv(matrix: CounterfactualRiskMatrix, path) -> None:
 
     Rows are patient-major, and within a patient the distinct columns keep
     their matrix order. Floats are written with ``repr``; each patient's
-    block of rows goes to the file in one write. A shifted risk is computed
-    as its raw risk minus its threshold when the row is written, the same
-    float operation as ``shifted_column``.
+    block of rows is formatted in one piece. A shifted risk is computed as
+    its raw risk minus its threshold when the row is written, the same float
+    operation as ``shifted_column``. A large matrix's patients may be
+    formatted in two halves on two processes (``rowfile.write_row_file``),
+    which gives the same bytes.
     """
     columns = [
         (f"{int(matrix.version_ids[v])},{t!r},", v, t)
         for v, t in zip(matrix.version_index.tolist(), matrix.thresholds.tolist())
     ]
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(MATRIX_COLUMNS) + "\n")
-        for k, raw in enumerate(matrix.raw.tolist(), start=1):
+
+    def write_rows(fh, start: int, stop: int) -> None:
+        for k, raw in enumerate(matrix.raw[start:stop].tolist(), start=start + 1):
             fh.write("".join([f"{k},{p}{raw[v]!r},{raw[v] - t!r}\n" for p, v, t in columns]))
+
+    write_row_file(path, ",".join(MATRIX_COLUMNS) + "\n", matrix.n_patients, write_rows,
+                   lines_per_row=len(columns))
 
 
 def _integral(values: np.ndarray, name: str) -> np.ndarray:

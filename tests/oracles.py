@@ -301,8 +301,10 @@ def _comparator_checks(covariates, treatments, outcomes, focal_risks):
     n = len(covariates)
     if treatments.shape != (n,) or outcomes.shape != (n,) or focal_risks.shape != (n,):
         raise ValidationError("comparator inputs must have aligned lengths")
-    if np.sum(treatments == 1) < MIN_PER_ARM or np.sum(treatments == 0) < MIN_PER_ARM:
-        raise InsufficientDataError(f"need at least {MIN_PER_ARM} patients per arm")
+    short = " and ".join(arm for arm, code in (("untreated", 0), ("treated", 1))
+                         if np.sum(treatments == code) < MIN_PER_ARM)
+    if short:
+        raise InsufficientDataError(f"too few {short} patients: need at least {MIN_PER_ARM} per arm")
     return treatments, outcomes, focal_risks
 
 

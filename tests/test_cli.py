@@ -267,7 +267,7 @@ class TestReplicate:
         assert sum(reasons["trial"].values()) == report["trial_failures"]
         for method, entry in report["per_method"].items():
             assert sum(reasons[method].values()) == entry["failures"]
-        assert reasons["aipw"]["need at least 10 patients per arm"] >= 1
+        assert reasons["aipw"]["too few treated patients: need at least 10 per arm"] >= 1
         assert any("did not converge" in message for message in reasons["ipw"])
 
     def test_boxplot_svg(self, tmp_path):

@@ -133,10 +133,12 @@ class TestFitSurface:
 
     def test_insufficient_arm_rejected(self):
         matrix, treatments, outcomes = simulated_static_trial(n=100)
-        treatments = np.zeros(100, dtype=int)
-        treatments[:5] = 1
-        with pytest.raises(InsufficientDataError):
-            fit_outcome_surface(matrix, treatments, outcomes, EstimatorConfig())
+        # One message per cause: the short arm is named, the counts are not.
+        for n_treated, arm in ((5, "treated"), (95, "untreated")):
+            treatments = np.zeros(100, dtype=int)
+            treatments[:n_treated] = 1
+            with pytest.raises(InsufficientDataError, match=f"^too few {arm} patients: need at least 10 per arm$"):
+                fit_outcome_surface(matrix, treatments, outcomes, EstimatorConfig())
 
     def test_constant_focal_rejected(self):
         matrix = static_matrix(np.zeros(100))

@@ -462,7 +462,7 @@ class TestComparatorsAtFinalThreshold:
         calls = patch_fit_glm(monkeypatch)
         got = evaluated_comparators(trial)
         assert got == oracle_comparators(trial)
-        assert {error for _, error in got} == {"need at least 10 patients per arm"}
+        assert {error for _, error in got} == {"too few treated patients: need at least 10 per arm"}
         assert OUTCOME_MODEL_WIDTH not in calls and PROPENSITY_WIDTH not in calls
 
     def test_each_comparator_model_is_fitted_once(self, trial, monkeypatch):
@@ -505,8 +505,10 @@ class TestReplications:
             assert list(reasons[name]) == sorted(reasons[name])
         assert reasons["outcome_regression"] == {
             "IRLS did not converge in 100 iterations (family=bernoulli_logit)": 2,
-            "need at least 10 patients per arm": 1,
+            "too few treated patients: need at least 10 per arm": 1,
         }
+        # The adaptive method words the same shortage the same way.
+        assert reasons["adaptive_rd"] == {"too few treated patients: need at least 10 per arm": 1}
 
     def test_failed_trials_keep_their_reason(self, tmp_path):
         missing = tmp_path / "missing.csv"

@@ -4,10 +4,16 @@ The writers format whole columns at once and the matrix reader parses the
 file in one pass. The per-cell and per-row implementations they replaced
 are kept here as references: the files must stay byte-identical to theirs,
 and every re-read array must be bit-identical to the one that was written.
+A large matrix file may be formatted in two halves on two processes; both
+that path and the in-process one must give the reference bytes, and neither
+may leave a child process behind, whether it succeeds or fails.
 """
 
 import csv
+import os
 import random
+import signal
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,6 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from adaptrd import rowfile
 from adaptrd.cohort import RACES, CohortTable
 from adaptrd.errors import ConfigError, IngestionError
 from adaptrd.risk_engine import CounterfactualRiskMatrix, export_matrix_csv, import_matrix_csv
@@ -343,3 +350,172 @@ def test_matrix_reader_rejects_bad_header_empty_body_and_unknown_pair(tmp_path):
         import_matrix_csv(path, [(0, 0.1), (2, 0.12)])
     with pytest.raises(ConfigError, match="not found"):
         import_matrix_csv(tmp_path / "missing.csv", PAIRS)
+
+
+# -- the two-process matrix writer ---------------------------------------------
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def count_forks(monkeypatch):
+    """Record the pid of every child ``os.fork`` starts from now on."""
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+@pytest.fixture(params=[False, True], ids=["one-process", "two-processes"])
+def path_taken(request, monkeypatch):
+    """Force the writer onto one path, at any size; ``forks`` lists the children."""
+    monkeypatch.setattr(rowfile, "second_process_usable", lambda: request.param)
+    monkeypatch.setattr(rowfile, "SPLIT_MIN_LINES", 0)
+    return SimpleNamespace(two_processes=request.param, forks=count_forks(monkeypatch))
+
+
+# n = 1 leaves the second half empty, so it is written in-process either way.
+@pytest.mark.parametrize("n", [1, 2, 7, 600])
+def test_both_paths_write_the_reference_bytes(tmp_path, path_taken, n):
+    rng = np.random.default_rng(n)
+    # version 0 at two thresholds, around version 3
+    matrix, _ = _matrix(rng.uniform(0, 0.4, (n, 2)), [(0, 0.1), (3, 0.12), (0, 0.15)],
+                        rng.integers(0, 3, n).tolist())
+    export_matrix_csv(matrix, tmp_path / "matrix.csv")
+    reference_export_matrix_csv(matrix, tmp_path / "reference.csv")
+    assert (tmp_path / "matrix.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert len(path_taken.forks) == (1 if path_taken.two_processes and n > 1 else 0)
+    assert_no_child_left()
+
+
+def _wide_matrix(lines):
+    """A matrix of two columns and ``lines // 2`` patients."""
+    n = lines // 2
+    matrix, _ = _matrix(np.random.default_rng(1).uniform(0, 0.4, (n, 2)), [(0, 0.1), (1, 0.1)], [0] * n)
+    return matrix
+
+
+def test_only_files_of_at_least_split_min_lines_are_split(tmp_path, monkeypatch):
+    monkeypatch.setattr(rowfile, "second_process_usable", lambda: True)
+    forks = count_forks(monkeypatch)
+    export_matrix_csv(_wide_matrix(rowfile.SPLIT_MIN_LINES - 2), tmp_path / "small.csv")
+    assert forks == []
+    matrix = _wide_matrix(rowfile.SPLIT_MIN_LINES)
+    export_matrix_csv(matrix, tmp_path / "large.csv")
+    assert len(forks) == 1
+    reference_export_matrix_csv(matrix, tmp_path / "reference.csv")
+    assert (tmp_path / "large.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert_no_child_left()
+
+
+def _numbered_rows(fail_in_child=False, fail_in_parent_at=None, interrupt_parent_at=None):
+    parent = os.getpid()
+
+    def write_rows(fh, start, stop):
+        in_child = os.getpid() != parent
+        if in_child and fail_in_child:
+            raise RuntimeError("formatting failed in the child")
+        for k in range(start, stop):
+            if not in_child and k == fail_in_parent_at:
+                raise ValueError("formatting failed in the parent")
+            if not in_child and k == interrupt_parent_at:
+                os.kill(parent, signal.SIGINT)
+            fh.write(f"{k},{k / 7!r}\n")
+
+    return write_rows
+
+
+def _numbered_text(n):
+    return "k,x\n" + "".join(f"{k},{k / 7!r}\n" for k in range(n))
+
+
+@pytest.fixture
+def split_any_file(monkeypatch):
+    monkeypatch.setattr(rowfile, "second_process_usable", lambda: True)
+    monkeypatch.setattr(rowfile, "SPLIT_MIN_LINES", 0)
+
+
+def test_helper_writes_numbered_rows_on_two_processes(tmp_path, split_any_file):
+    rowfile.write_row_file(tmp_path / "rows.csv", "k,x\n", 40_000, _numbered_rows())
+    assert (tmp_path / "rows.csv").read_text() == _numbered_text(40_000)
+    assert_no_child_left()
+
+
+class ChildFailingRaw:
+    """A matrix's raw risks that cannot be read in a forked child."""
+
+    def __init__(self, raw):
+        self.raw, self.parent = raw, os.getpid()
+
+    def __getitem__(self, rows):
+        if os.getpid() != self.parent:
+            raise RuntimeError("formatting failed in the child")
+        return self.raw[rows]
+
+
+def test_a_failing_child_makes_the_writer_raise_and_is_reaped(tmp_path, split_any_file):
+    with pytest.raises(OSError, match="rows.csv.*exited with 1"):
+        rowfile.write_row_file(tmp_path / "rows.csv", "k,x\n", 10, _numbered_rows(fail_in_child=True))
+    assert_no_child_left()
+
+    matrix = _wide_matrix(40)
+    fields = ("n_patients", "version_ids", "version_index", "thresholds")
+    failing = SimpleNamespace(raw=ChildFailingRaw(matrix.raw), **{f: getattr(matrix, f) for f in fields})
+    with pytest.raises(OSError, match="matrix.csv"):
+        export_matrix_csv(failing, tmp_path / "matrix.csv")
+    assert_no_child_left()
+
+
+def test_a_parent_failing_partway_still_reaps_the_child(tmp_path, split_any_file):
+    # The child's half (about 1 MB) is more than the pipe holds, so the child
+    # cannot finish writing unless the parent reads or closes its end.
+    with pytest.raises(ValueError, match="failed in the parent"):
+        rowfile.write_row_file(tmp_path / "rows.csv", "k,x\n", 80_000,
+                               _numbered_rows(fail_in_parent_at=10_000))
+    assert_no_child_left()
+
+
+def test_an_interrupt_is_raised_once_the_child_is_reaped(tmp_path, split_any_file):
+    with pytest.raises(KeyboardInterrupt):
+        rowfile.write_row_file(tmp_path / "rows.csv", "k,x\n", 80_000,
+                               _numbered_rows(interrupt_parent_at=10_000))
+    assert_no_child_left()
+    assert (tmp_path / "rows.csv").read_text() == _numbered_text(80_000)
+    assert signal.pthread_sigmask(signal.SIG_BLOCK, []) == set()
+
+
+def test_a_failed_fork_writes_every_row_in_process(tmp_path, split_any_file, monkeypatch):
+    def no_fork():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    fds = os.listdir("/proc/self/fd")
+    matrix = _wide_matrix(100)
+    export_matrix_csv(matrix, tmp_path / "matrix.csv")
+    reference_export_matrix_csv(matrix, tmp_path / "reference.csv")
+    assert (tmp_path / "matrix.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert os.listdir("/proc/self/fd") == fds  # the pipe is closed
+
+
+def test_another_thread_keeps_the_writer_in_process(tmp_path, monkeypatch):
+    monkeypatch.setattr(rowfile, "SPLIT_MIN_LINES", 0)
+    forks = count_forks(monkeypatch)
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        assert not rowfile.second_process_usable()
+        export_matrix_csv(_wide_matrix(100), tmp_path / "matrix.csv")
+    finally:
+        done.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
