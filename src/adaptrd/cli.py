@@ -84,7 +84,7 @@ def _cmd_simulate(args) -> int:
         "n_patients": config.n_patients,
         "final_threshold": trial.final_threshold,
         "treated_fraction": float(np.mean(trial.treatment)),
-        "n_model_versions": len(trial.history.models),
+        "n_model_versions": len(trial.matrix.version_ids),
         "n_adaptation_events": len(trial.events),
         "clamp_events": trial.clamp_count,
         "threshold_trajectory": trial.threshold_trajectory(),
@@ -145,10 +145,10 @@ def _infer_estimator_config(args, outcomes: np.ndarray) -> EstimatorConfig:
 
 def _check_same_run(logged, matrix) -> None:
     """Raise ConfigError unless the matrix's diagonal reproduces the logged risks bit for bit."""
-    raw = matrix.diagonal_raw()
+    _, _, raw, shifted = matrix.diagonal()
     for name, ours, theirs in (
         ("raw_risk", raw, logged.raw_risk),
-        ("shifted_risk", raw - matrix.thresholds[matrix.column_map], logged.shifted_risk),
+        ("shifted_risk", shifted, logged.shifted_risk),
     ):
         differs = ours.view(np.uint64) != theirs.view(np.uint64)
         if differs.any():

@@ -81,10 +81,6 @@ class AdaptationEvent:
 class TrialData:
     config: ScenarioConfig
     covariates: CohortTable
-    model_version: np.ndarray
-    threshold: np.ndarray
-    raw_risk: np.ndarray
-    shifted_risk: np.ndarray
     treatment: np.ndarray
     outcome: np.ndarray
     baseline_risk: np.ndarray
@@ -99,11 +95,13 @@ class TrialData:
 
     @property
     def final_threshold(self) -> float:
-        return float(self.threshold[-1])
+        _, threshold, _, _ = self.matrix.diagonal()
+        return float(threshold[-1])
 
     def threshold_trajectory(self) -> list[tuple[int, float]]:
         """(index, new threshold) pairs, starting from the initial value."""
-        out = [(0, float(self.threshold[0]))]
+        _, threshold, _, _ = self.matrix.diagonal()
+        out = [(0, float(threshold[0]))]
         for ev in self.events:
             if ev.kind == "threshold_update":
                 out.append((ev.index, ev.new))
@@ -172,12 +170,9 @@ def run_scenario(config: ScenarioConfig, stream: Optional[SeedStream] = None) ->
     thr_idx, mdl_idx = _update_indices(config)
     boundaries = sorted(set(thr_idx) | set(mdl_idx) | {n})
 
-    raw_risk = np.empty(n)
-    shifted_risk = np.empty(n)
+    raw_risk = np.empty(n)  # read by the rate-target update
     treatment = np.empty(n, dtype=int)
     outcome = np.empty(n)
-    model_version = np.empty(n, dtype=int)
-    threshold = np.empty(n)
 
     start = 0
     next_version_id = 1
@@ -186,8 +181,7 @@ def run_scenario(config: ScenarioConfig, stream: Optional[SeedStream] = None) ->
             continue
         risks = scored[current_model.version_id][start:end]
         raw_risk[start:end] = risks
-        shifted_risk[start:end] = risks - current_threshold
-        treatment[start:end] = (shifted_risk[start:end] >= 0.0).astype(int)
+        treatment[start:end] = (risks - current_threshold >= 0.0).astype(int)
         outcome[start:end] = outcomes_from_noise(
             config.outcome,
             baseline_risk[start:end],
@@ -195,8 +189,6 @@ def run_scenario(config: ScenarioConfig, stream: Optional[SeedStream] = None) ->
             noise[start:end],
             clamp_stats,
         )
-        model_version[start:end] = current_model.version_id
-        threshold[start:end] = current_threshold
         history.append(current_model, current_threshold, end - start)
         m = end
         start = end
@@ -218,10 +210,6 @@ def run_scenario(config: ScenarioConfig, stream: Optional[SeedStream] = None) ->
     return TrialData(
         config=config,
         covariates=covariates,
-        model_version=model_version,
-        threshold=threshold,
-        raw_risk=raw_risk,
-        shifted_risk=shifted_risk,
         treatment=treatment,
         outcome=outcome,
         baseline_risk=baseline_risk,
@@ -537,7 +525,4 @@ def scenario_preset(scenario_id: int, seed: int = 0, **overrides) -> ScenarioCon
     for key in ("warmup", "update_every"):
         if key in overrides:
             payload[key] = overrides.pop(key)
-            for section in (payload["threshold_strategy"], payload["model_strategy"]):
-                if key in section:
-                    section[key] = payload[key]
     return dataclasses.replace(parse_config(payload), **overrides)

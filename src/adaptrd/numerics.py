@@ -342,14 +342,13 @@ class ResidualizeResult(NamedTuple):
     residuals: np.ndarray
     intercept: float
     slope: float
-    degenerate: bool
 
 
 def residualize(column: np.ndarray, against: np.ndarray) -> ResidualizeResult:
     """Least-squares residuals of ``column`` on an intercept plus ``against``.
 
     If ``against`` is (numerically) constant, falls back to centering the
-    column and flags the result as degenerate.
+    column, with slope 0.
     """
     column = np.asarray(column, dtype=float)
     against = np.asarray(against, dtype=float)
@@ -359,11 +358,11 @@ def residualize(column: np.ndarray, against: np.ndarray) -> ResidualizeResult:
     c_mean = float(column.mean())
     var = float(np.mean((against - a_mean) ** 2))
     if var <= 1e-24:
-        return ResidualizeResult(column - c_mean, c_mean, 0.0, True)
+        return ResidualizeResult(column - c_mean, c_mean, 0.0)
     slope = float(np.mean((against - a_mean) * (column - c_mean)) / var)
     intercept = c_mean - slope * a_mean
     resid = column - (intercept + slope * against)
-    return ResidualizeResult(resid, intercept, slope, False)
+    return ResidualizeResult(resid, intercept, slope)
 
 
 @dataclass

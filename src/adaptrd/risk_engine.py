@@ -258,16 +258,17 @@ def recalibrated_coefficients(
 class ModelHistory:
     """The (model, threshold) pair in force for each patient index 1..i.
 
-    Stored as run-length segments: consecutive patients under the same pair
-    share one ``[model list index, threshold, count]`` entry.
+    ``pairs`` numbers the distinct (model list index, threshold) pairs in order
+    of first use, and each appended block of patients keeps its pair's number.
     """
 
     def __init__(self):
         self.models: list[RiskModelVersion] = []
-        self._segments: list[list] = []  # [model list index, threshold, count]
+        self.pairs: dict[tuple[int, float], int] = {}
+        self._blocks: list[tuple[int, int]] = []  # (pair number, count)
 
     def __len__(self) -> int:
-        return sum(count for _, _, count in self._segments)
+        return sum(count for _, count in self._blocks)
 
     def append(self, model: RiskModelVersion, threshold: float, count: int = 1) -> None:
         """Record ``count`` consecutive patients under (model, threshold)."""
@@ -279,27 +280,13 @@ class ModelHistory:
             if any(m.version_id == model.version_id for m in self.models):
                 raise ValidationError("model versions must not be reused after replacement")
             self.models.append(model)
-        pair = [len(self.models) - 1, float(threshold)]
-        if self._segments and self._segments[-1][:2] == pair:
-            self._segments[-1][2] += count
-        else:
-            self._segments.append(pair + [count])
-
-    @property
-    def thresholds(self) -> np.ndarray:
-        return np.repeat([seg[1] for seg in self._segments], [seg[2] for seg in self._segments])
-
-    def distinct_pairs(self) -> list[tuple[int, float]]:
-        """(model list index, threshold) pairs in order of first use."""
-        return list(dict.fromkeys((idx, thr) for idx, thr, _ in self._segments))
+        pair = (len(self.models) - 1, float(threshold))
+        self._blocks.append((self.pairs.setdefault(pair, len(self.pairs)), count))
 
     def column_map(self) -> np.ndarray:
-        """Per patient, the position of its pair in ``distinct_pairs()``."""
-        pos = {pair: d for d, pair in enumerate(self.distinct_pairs())}
-        return np.repeat(
-            np.asarray([pos[(idx, thr)] for idx, thr, _ in self._segments], dtype=int),
-            [count for _, _, count in self._segments],
-        )
+        """Per patient, the number of its pair in ``pairs``."""
+        return np.repeat(np.asarray([d for d, _ in self._blocks], dtype=int),
+                         [count for _, count in self._blocks])
 
 
 @dataclass
@@ -340,9 +327,16 @@ class CounterfactualRiskMatrix:
     def focal_shifted(self) -> np.ndarray:
         return self.shifted_column(self.focal_index)
 
-    def diagonal_raw(self) -> np.ndarray:
-        """Each patient's raw risk under its own model version."""
-        return self.raw[np.arange(self.n_patients), self.version_index[self.column_map]]
+    def diagonal(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Each patient's own column: (version id, threshold, raw risk, shifted risk).
+
+        The shifted risk is the raw risk minus the threshold, the same float
+        operation as ``shifted_column``.
+        """
+        versions = self.version_index[self.column_map]
+        threshold = self.thresholds[self.column_map]
+        raw = self.raw[np.arange(self.n_patients), versions]
+        return self.version_ids[versions], threshold, raw, raw - threshold
 
 
 def build_counterfactual_matrix(
@@ -365,12 +359,11 @@ def build_counterfactual_matrix(
                 f"model version {model.version_id} needs scored risks for the history's {n} patients"
             )
         columns.append(raw[:n])
-    pairs = history.distinct_pairs()
     return CounterfactualRiskMatrix(
         raw=np.column_stack(columns),
         version_ids=np.asarray([model.version_id for model in history.models]),
-        version_index=np.asarray([idx for idx, _ in pairs]),
-        thresholds=np.asarray([thr for _, thr in pairs]),
+        version_index=np.asarray([idx for idx, _ in history.pairs]),
+        thresholds=np.asarray([thr for _, thr in history.pairs]),
         column_map=history.column_map(),
     )
 

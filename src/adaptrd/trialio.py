@@ -70,13 +70,14 @@ def _ints(values) -> list:
 
 
 def write_trial_csv(trial: TrialData, path) -> None:
+    version, threshold, raw, shifted = trial.matrix.diagonal()
     columns = (
         range(1, trial.n + 1),
         *covariate_columns(trial.covariates),
-        _ints(trial.model_version),
-        _floats(trial.threshold),
-        _floats(trial.raw_risk),
-        _floats(trial.shifted_risk),
+        _ints(version),
+        _floats(threshold),
+        _floats(raw),
+        _floats(shifted),
         _ints(trial.treatment),
         _floats(trial.outcome),
         _floats(trial.baseline_risk),

@@ -1,16 +1,19 @@
 """Independent reference implementations shared by the test modules.
 
-Everything here except ``dense_design_reference`` and the section of
-earlier formulas at the end is deliberately written from first principles
-(textbook formulas, lstsq, plain loops) and shares no code with the package
-internals it checks. ``dense_design_reference`` keeps the earlier dense
-estimator design, built from the package's numerical steps, as a bitwise
-reference. The earlier formulas are the package's previous code for the
-kernel weights at one centre, the default grid, the knot choice and the
-spline basis, kept verbatim as bitwise references for their rewrites. The
-last section keeps the three regression-based comparators as they were
-when each fitted its own models, verbatim, as bitwise references for the
-shared ``ComparatorInputs``.
+Everything here except ``dense_design_reference``,
+``trial_columns_from_events`` and the section of earlier formulas at the
+end is deliberately written from first principles (textbook formulas,
+lstsq, plain loops) and shares no code with the package internals it
+checks. ``dense_design_reference`` keeps the earlier dense estimator
+design, built from the package's numerical steps, as a bitwise reference.
+``trial_columns_from_events`` works out each patient's logged columns from
+a trial's events log and the package's risk scoring, without the
+counterfactual matrix. The earlier formulas are the package's previous
+code for the kernel weights at one centre, the default grid, the knot
+choice and the spline basis, kept verbatim as bitwise references for their
+rewrites. The last section keeps the three regression-based comparators as
+they were when each fitted its own models, verbatim, as bitwise references
+for the shared ``ComparatorInputs``.
 """
 
 import math
@@ -193,6 +196,29 @@ def dense_design_reference(shifted, focal_index, treatments, outcomes, config, r
         low_support=min(eff_n0, eff_n1) < config.min_effective,
     )
     return fit, estimate
+
+
+def trial_columns_from_events(trial):
+    """Each patient's model version, threshold and raw risk, from the events log.
+
+    An update logged at index m holds for patients m + 1 onwards. Versions
+    start at the original model's id 0 and thresholds at the config's
+    ``initial_threshold``. Raw risks come from scoring every model in
+    ``trial.history.models`` over the whole cohort, as the simulator scores
+    each version once; each patient then takes its own version's risk.
+    """
+    from adaptrd.risk_engine import predict_risk_batch
+
+    version = np.zeros(trial.n, dtype=np.int64)
+    threshold = np.full(trial.n, trial.config.initial_threshold)
+    for ev in trial.events:
+        if ev.kind == "model_update":
+            version[ev.index:] = int(ev.new)
+        elif ev.kind == "threshold_update":
+            threshold[ev.index:] = ev.new
+    scores = {m.version_id: predict_risk_batch(m, trial.covariates) for m in trial.history.models}
+    raw = np.array([scores[v][k] for k, v in enumerate(version.tolist())])
+    return version, threshold, raw
 
 
 # ---------------------------------------------------------------------------

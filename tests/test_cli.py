@@ -69,7 +69,8 @@ class TestTrialIo:
         path = tmp_path / "trial.csv"
         write_trial_csv(trial, path)
         logged = read_trial_csv(path)
-        assert np.array_equal(logged.raw_risk, trial.raw_risk)
+        _, _, raw, _ = trial.matrix.diagonal()
+        assert np.array_equal(logged.raw_risk, raw)
         assert np.array_equal(logged.outcome, trial.outcome)
         assert np.array_equal(logged.treatment, trial.treatment)
         assert np.array_equal(logged.covariates.age, trial.covariates.age)
@@ -102,6 +103,21 @@ class TestSimulate:
                        "--override", "scenario=9")
         assert code == 2
         assert "scenario" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides, model_events", [
+        (["update_every=75"], [400, 475, 550]),
+        (["n_patients=200", "warmup=100"], [100]),
+    ])
+    def test_top_level_cadence_reaches_the_model_strategy(self, tmp_path, overrides, model_events):
+        # The presets set the cadence once, at the top level, so an override
+        # there is the cadence of the strategy that fires updates.
+        out = tmp_path / "run"
+        argv = [arg for override in overrides for arg in ("--override", override)]
+        assert run_cli("simulate", "--config", "scenario5", "--out", str(out),
+                       "--override", "n_patients=600", *argv, "--seed", "7") == 0
+        with (out / "events.csv").open() as fh:
+            events = list(csv.DictReader(fh))
+        assert [int(e["index"]) for e in events if e["kind"] == "model_update"] == model_events
 
     def test_svg_emitted(self, tmp_path):
         out = tmp_path / "run"
@@ -170,7 +186,7 @@ class TestSameRunCheck:
                        "--override", "update_every=75", "--override", "model_strategy.update_every=75",
                        *SMALL) == 0
         logged = read_trial_csv(out / "trial.csv")
-        diagonal = import_matrix_csv(out / "matrix.csv", logged.column_pairs).diagonal_raw()
+        _, _, diagonal, _ = import_matrix_csv(out / "matrix.csv", logged.column_pairs).diagonal()
         assert np.array_equal(diagonal.view(np.uint64), logged.raw_risk.view(np.uint64))
         replay = tmp_path / "replay"
         code = run_cli("estimate", "--trial", str(out / "trial.csv"),

@@ -97,7 +97,8 @@ class TestRunScenario:
             seed=4,
         )
         trial = run_scenario(cfg)
-        assert np.all(trial.threshold == 0.1)
+        version, threshold, _, _ = trial.matrix.diagonal()
+        assert np.all(threshold == 0.1) and np.all(version == 0)
         assert len(trial.history.models) == 1
         assert trial.matrix.n_distinct == 1
         assert trial.events == []
@@ -105,15 +106,18 @@ class TestRunScenario:
     def test_same_seed_reproduces_trial_exactly(self):
         cfg = small_preset(1)
         t1, t2 = run_scenario(cfg), run_scenario(cfg)
-        for field in ("raw_risk", "shifted_risk", "treatment", "outcome",
-                      "baseline_risk", "threshold", "model_version"):
+        for field in ("treatment", "outcome", "baseline_risk"):
             assert np.array_equal(getattr(t1, field), getattr(t2, field)), field
+        for a, b in zip(t1.matrix.diagonal(), t2.matrix.diagonal()):
+            assert np.array_equal(a, b)
         assert t1.events == t2.events
 
     def test_treatment_matches_assignment_rule(self):
         trial = run_scenario(small_preset(1))
-        assert np.array_equal(trial.treatment, (trial.shifted_risk >= 0).astype(int))
-        assert np.allclose(trial.shifted_risk, trial.raw_risk - trial.threshold)
+        _, _, _, shifted = trial.matrix.diagonal()
+        assert np.array_equal(trial.treatment, (shifted >= 0).astype(int))
+        own_columns = [trial.matrix.shifted_column(d)[k] for k, d in enumerate(trial.matrix.column_map)]
+        assert np.array_equal(shifted, own_columns)
 
     def test_warmup_discipline_and_cadence(self):
         trial = run_scenario(small_preset(1, n=700))
@@ -128,8 +132,9 @@ class TestRunScenario:
         updates = [e for e in trial.events if e.kind == "threshold_update"]
         assert updates
         ev = updates[0]
-        assert np.all(trial.threshold[: ev.index] == ev.old)
-        assert trial.threshold[ev.index] == ev.new
+        _, threshold, _, _ = trial.matrix.diagonal()
+        assert np.all(threshold[: ev.index] == ev.old)
+        assert threshold[ev.index] == ev.new
 
     def test_dgp_stationarity_replay(self):
         cfg = small_preset(4, n=900)
@@ -245,8 +250,11 @@ class TestRunScenario:
             save_cohort_csv(path, patients)
             trials.append(run_scenario(small_preset(5, n=900, cohort_csv=str(path))))
         a, b = trials
-        assert not np.array_equal(a.raw_risk[800:], b.raw_risk[800:])
-        for field in ("raw_risk", "shifted_risk", "model_version", "threshold", "treatment", "outcome"):
+        diagonals = [t.matrix.diagonal() for t in trials]
+        assert not np.array_equal(diagonals[0][2][800:], diagonals[1][2][800:])
+        for name, x, y in zip(("model_version", "threshold", "raw_risk", "shifted_risk"), *diagonals):
+            assert np.array_equal(x[:800], y[:800]), name
+        for field in ("treatment", "outcome"):
             assert np.array_equal(getattr(a, field)[:800], getattr(b, field)[:800]), field
         early = [[e for e in t.events if e.index <= 800] for t in trials]
         assert early[0] and early[0] == early[1]

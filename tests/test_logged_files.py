@@ -4,6 +4,10 @@ The writers format whole columns at once and the matrix reader parses the
 file in one pass. The per-cell and per-row implementations they replaced
 are kept here as references: the files must stay byte-identical to theirs,
 and every re-read array must be bit-identical to the one that was written.
+The trial writer reads each patient's model version, threshold and risks
+from the counterfactual matrix; its reference is given them worked out
+another way, from the drawn (version, threshold) pairs or from a run's
+events log.
 A large matrix file may be formatted in two halves on two processes; both
 that path and the in-process one must give the reference bytes, and neither
 may leave a child process behind, whether it succeeds or fails.
@@ -25,8 +29,10 @@ from hypothesis import strategies as st
 from adaptrd import rowfile
 from adaptrd.cohort import RACES, CohortTable
 from adaptrd.errors import ConfigError, IngestionError
+from adaptrd.harness import run_scenario, scenario_preset
 from adaptrd.risk_engine import CounterfactualRiskMatrix, export_matrix_csv, import_matrix_csv
 from adaptrd.trialio import TRIAL_COLUMNS, read_trial_csv, write_trial_csv
+from oracles import trial_columns_from_events
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 1.0 - 2.0**-53, float("inf")]
 FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False))
@@ -78,10 +84,16 @@ def reference_import_matrix_csv(path, column_pairs):
     )
 
 
-def reference_write_trial_csv(trial, path):
-    """The per-row trial writer the columnar one replaced."""
+def reference_write_trial_csv(trial, columns, path):
+    """The per-row trial writer the columnar one replaced.
+
+    ``columns`` holds each patient's model version, threshold and raw risk,
+    worked out apart from the matrix the writer reads; the shifted risk is
+    the raw risk minus the threshold.
+    """
     f = lambda x: repr(float(x))  # noqa: E731
     cov = trial.covariates
+    version, threshold, raw = columns
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRIAL_COLUMNS)
@@ -90,8 +102,8 @@ def reference_write_trial_csv(trial, path):
                 k + 1, f(cov.age[k]), "female" if cov.female[k] else "male", str(cov.race[k]),
                 f(cov.systolic_bp[k]), f(cov.total_chol[k]), f(cov.hdl_chol[k]),
                 int(cov.smoker[k]), int(cov.diabetes[k]), int(cov.bp_treated[k]),
-                int(trial.model_version[k]), f(trial.threshold[k]), f(trial.raw_risk[k]),
-                f(trial.shifted_risk[k]), int(trial.treatment[k]), f(trial.outcome[k]),
+                int(version[k]), f(threshold[k]), f(raw[k]),
+                f(raw[k] - threshold[k]), int(trial.treatment[k]), f(trial.outcome[k]),
                 f(trial.baseline_risk[k]),
             ])
 
@@ -166,9 +178,18 @@ def test_matrix_file_matches_the_per_cell_writer_and_reads_back_bit_identical(tm
     )
 
 
+def logged_columns(matrix, pairs):
+    """Each patient's version, threshold and raw risk, looked up by its logged pair."""
+    versions = matrix.version_ids.tolist()
+    raw = [matrix.raw[k, versions.index(v)] for k, (v, _) in enumerate(pairs)]
+    return np.array([v for v, _ in pairs]), np.array([t for _, t in pairs]), np.array(raw)
+
+
 @st.composite
 def trials(draw):
-    n = draw(st.integers(1, 6))
+    """A trial with a drawn matrix, and the columns its file should log."""
+    matrix, pairs = draw(matrices())
+    n = matrix.n_patients
 
     def column(values, dtype):
         return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=dtype)
@@ -184,43 +205,62 @@ def trials(draw):
         diabetes=column(st.booleans(), bool),
         bp_treated=column(st.booleans(), bool),
     )
-    return SimpleNamespace(
+    trial = SimpleNamespace(
         n=n,
         covariates=covariates,
-        model_version=column(st.integers(0, 40), int),
-        threshold=column(THRESHOLDS, float),
-        raw_risk=column(FLOATS, float),
-        shifted_risk=column(FLOATS, float),
+        matrix=matrix,
         treatment=column(st.integers(0, 1), int),
         outcome=column(FLOATS, float),
         baseline_risk=column(FLOATS, float),
     )
+    return trial, logged_columns(matrix, pairs)
 
 
-TRIAL_FIELDS = ("model_version", "threshold", "raw_risk", "shifted_risk", "treatment",
-                "outcome", "baseline_risk")
 COVARIATE_FIELDS = ("age", "female", "race", "systolic_bp", "total_chol", "hdl_chol",
                     "smoker", "diabetes", "bp_treated")
 
 
-def assert_same_trial(got, want):
-    for name in TRIAL_FIELDS:
-        assert_same_array(getattr(got, name), getattr(want, name))
+def assert_same_trial(got, trial, columns):
+    """``got`` re-reads ``trial``, whose file logs ``columns``."""
+    version, threshold, raw = columns
+    logged = {"model_version": version, "threshold": threshold, "raw_risk": raw,
+              "shifted_risk": raw - threshold, "treatment": trial.treatment,
+              "outcome": trial.outcome, "baseline_risk": trial.baseline_risk}
+    for name, want in logged.items():
+        assert_same_array(getattr(got, name), want)
     for name in COVARIATE_FIELDS:
-        assert_same_array(getattr(got.covariates, name), getattr(want.covariates, name))
+        assert_same_array(getattr(got.covariates, name), getattr(trial.covariates, name))
 
 
 @settings(max_examples=150, deadline=None)
-@given(trial=trials())
-def test_trial_file_matches_the_per_row_writer_and_reads_back_bit_identical(tmp_path_factory, trial):
+@given(case=trials())
+def test_trial_file_matches_the_per_row_writer_and_reads_back_bit_identical(tmp_path_factory, case):
+    trial, columns = case
     tmp = tmp_path_factory.mktemp("trial")
     write_trial_csv(trial, tmp / "new.csv")
-    reference_write_trial_csv(trial, tmp / "reference.csv")
+    reference_write_trial_csv(trial, columns, tmp / "reference.csv")
     assert (tmp / "new.csv").read_bytes() == (tmp / "reference.csv").read_bytes()
-    assert_same_trial(read_trial_csv(tmp / "new.csv"), trial)
+    assert_same_trial(read_trial_csv(tmp / "new.csv"), trial, columns)
+
+
+@pytest.mark.parametrize("scenario", [1, 2, 3, 4, 5])
+def test_trial_file_of_a_run_matches_the_per_row_writer_on_columns_from_the_events(
+    tmp_path, scenario
+):
+    # The writer reads each patient's version, threshold and risks from the
+    # matrix; the oracle works them out from the events log and the models.
+    trial = run_scenario(scenario_preset(scenario, seed=7, n_patients=600))
+    columns = trial_columns_from_events(trial)
+    version, threshold, _ = columns
+    assert len(set(zip(version.tolist(), threshold.tolist()))) > 1
+    write_trial_csv(trial, tmp_path / "new.csv")
+    reference_write_trial_csv(trial, columns, tmp_path / "reference.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+    assert_same_trial(read_trial_csv(tmp_path / "new.csv"), trial, columns)
 
 
 def _small_trial():
+    """Five patients under two model versions and two thresholds, with their logged columns."""
     n = 5
     rng = np.random.default_rng(3)
     covariates = CohortTable(
@@ -232,17 +272,22 @@ def _small_trial():
         bp_treated=np.array([False, True, True, False, False]),
     )
     raw = rng.uniform(0, 0.4, n)
+    version = np.array([0, 0, 0, 1, 1])
     threshold = np.array([0.1, 0.1, 0.12, 0.12, 0.1])
-    return SimpleNamespace(
-        n=n, covariates=covariates, model_version=np.array([0, 0, 0, 1, 1]),
-        threshold=threshold, raw_risk=raw, shifted_risk=raw - threshold,
-        treatment=(raw > threshold).astype(int), outcome=rng.normal(size=n),
-        baseline_risk=rng.uniform(0, 0.4, n),
+    trial = SimpleNamespace(
+        n=n, covariates=covariates, treatment=(raw > threshold).astype(int),
+        outcome=rng.normal(size=n), baseline_risk=rng.uniform(0, 0.4, n),
     )
+    # Each patient's own version carries its raw risk; the other version's are drawn apart.
+    version_raw = np.column_stack([raw, rng.uniform(0, 0.4, n)])
+    version_raw[version == 1] = version_raw[version == 1, ::-1]
+    trial.matrix, _ = _matrix(version_raw, [(0, 0.1), (0, 0.12), (1, 0.12), (1, 0.1)],
+                              [0, 0, 1, 2, 3])
+    return trial, (version, threshold, raw)
 
 
 def test_trial_reader_takes_columns_by_name(tmp_path):
-    trial = _small_trial()
+    trial, columns = _small_trial()
     write_trial_csv(trial, tmp_path / "trial.csv")
     with (tmp_path / "trial.csv").open(newline="") as fh:
         header, *rows = list(csv.reader(fh))
@@ -254,11 +299,11 @@ def test_trial_reader_takes_columns_by_name(tmp_path):
         writer.writerow([header[j] for j in order[:3]] + ["site"] + [header[j] for j in order[3:]])
         for i, row in enumerate(rows):
             writer.writerow([row[j] for j in order[:3]] + [f"s{i}"] + [row[j] for j in order[3:]])
-    assert_same_trial(read_trial_csv(tmp_path / "shuffled.csv"), trial)
+    assert_same_trial(read_trial_csv(tmp_path / "shuffled.csv"), trial, columns)
 
 
 def test_trial_reader_names_the_line_of_a_bad_row(tmp_path):
-    write_trial_csv(_small_trial(), tmp_path / "trial.csv")
+    write_trial_csv(_small_trial()[0], tmp_path / "trial.csv")
     lines = (tmp_path / "trial.csv").read_text().splitlines()
     for mangle, message in ((lambda fields: fields[:-1], "line 4: 16 fields"),
                             (lambda fields: fields[:12] + ["x"] + fields[13:], "line 4: raw_risk")):
@@ -276,7 +321,7 @@ def test_trial_reader_names_the_line_of_a_bad_row(tmp_path):
 )
 def test_trial_reader_rejects_unknown_categories(tmp_path, column, value):
     # Before this check, "hispanic" read as "hispa", and "F" or "yes" as male or false.
-    write_trial_csv(_small_trial(), tmp_path / "trial.csv")
+    write_trial_csv(_small_trial()[0], tmp_path / "trial.csv")
     lines = (tmp_path / "trial.csv").read_text().splitlines()
     fields = lines[3].split(",")
     fields[TRIAL_COLUMNS.index(column)] = value

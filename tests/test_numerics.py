@@ -221,10 +221,10 @@ class TestResidualize:
         assert abs(res.residuals @ x) < 1e-8
         assert abs(res.residuals.sum()) < 1e-8
 
-    def test_constant_regressor_flagged(self):
+    def test_constant_regressor_centres_the_column(self):
         col = rng.standard_normal(50)
         res = residualize(col, np.full(50, 2.0))
-        assert res.degenerate
+        assert res.slope == 0.0
         assert np.allclose(res.residuals, col - col.mean())
 
 

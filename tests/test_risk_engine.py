@@ -185,22 +185,28 @@ class TestAssignTreatment:
     def _trial(**overrides):
         return run_scenario(scenario_preset(4, seed=2, n_patients=200, warmup=100, **overrides))
 
+    def _first_raw_risk(self):
+        _, _, raw, _ = self._trial().matrix.diagonal()
+        return raw[0]
+
     def _first_patient(self, threshold):
         # Patient 1 is scored by the original model whatever the threshold.
         trial = self._trial(initial_threshold=threshold)
-        return trial.shifted_risk[0], trial.treatment[0]
+        _, _, _, shifted = trial.matrix.diagonal()
+        return shifted[0], trial.treatment[0]
 
     def test_tie_treats(self):
-        assert self._first_patient(self._trial().raw_risk[0]) == (0.0, 1)
+        assert self._first_patient(self._first_raw_risk()) == (0.0, 1)
 
     def test_just_below_untreated(self):
-        shifted, treated = self._first_patient(float(np.nextafter(self._trial().raw_risk[0], 1.0)))
+        shifted, treated = self._first_patient(float(np.nextafter(self._first_raw_risk(), 1.0)))
         assert shifted < 0.0 and treated == 0
 
     def test_above_treated(self):
         trial = self._trial()
-        assert np.array_equal(trial.treatment, (trial.shifted_risk >= 0.0).astype(int))
-        shifted, treated = self._first_patient(trial.raw_risk[0] - 0.05)
+        _, _, raw, shifted = trial.matrix.diagonal()
+        assert np.array_equal(trial.treatment, (shifted >= 0.0).astype(int))
+        shifted, treated = self._first_patient(raw[0] - 0.05)
         assert shifted > 0.0 and treated == 1
 
 
@@ -254,7 +260,7 @@ class TestModelHistory:
             history.append(model, 1.5)
         history.append(model, 0.1)
         assert len(history) == 1
-        assert history.thresholds.tolist() == [0.1]
+        assert history.pairs == {(0, 0.1): 0}
         assert history.models == [model] and history.column_map().tolist() == [0]
 
     def test_distinct_pairs_in_first_use_order(self):
@@ -262,7 +268,13 @@ class TestModelHistory:
         model = original_pce_model()
         for thr in (0.1, 0.1, 0.2, 0.1):
             history.append(model, thr)
-        assert history.distinct_pairs() == [(0, 0.1), (0, 0.2)]
+        assert list(history.pairs) == [(0, 0.1), (0, 0.2)]
+
+    @staticmethod
+    def _thresholds(history):
+        """Each patient's threshold, looked up through its column."""
+        pairs = list(history.pairs)
+        return [pairs[d][1] for d in history.column_map()]
 
     @staticmethod
     def _recalibrated(version_id):
@@ -283,13 +295,13 @@ class TestModelHistory:
             for _ in range(count):
                 single.append(model, thr)
         assert len(blocked) == len(single) == 15
-        assert blocked.distinct_pairs() == single.distinct_pairs()
+        assert blocked.pairs == single.pairs
         assert np.array_equal(blocked.column_map(), single.column_map())
         assert blocked.column_map().tolist() == [0] * 5 + [1] * 4 + [2] + [3] * 5
-        assert np.array_equal(blocked.thresholds, single.thresholds)
-        assert blocked.thresholds.tolist() == [0.1] * 5 + [0.2] * 5 + [0.15] * 5
+        assert self._thresholds(blocked) == self._thresholds(single)
+        assert self._thresholds(blocked) == [0.1] * 5 + [0.2] * 5 + [0.15] * 5
         assert blocked.models == single.models == [original, recal]
-        model_of = [blocked.distinct_pairs()[d][0] for d in blocked.column_map()]
+        model_of = [list(blocked.pairs)[d][0] for d in blocked.column_map()]
         assert model_of == [0] * 9 + [1] * 6
 
     def test_repeated_pair_maps_to_its_first_column(self):
@@ -297,9 +309,10 @@ class TestModelHistory:
         history = ModelHistory()
         for thr, count in ((0.1, 2), (0.2, 3), (0.1, 4), (0.3, 1), (0.2, 2)):
             history.append(model, thr, count)
-        assert history.distinct_pairs() == [(0, 0.1), (0, 0.2), (0, 0.3)]
+        assert list(history.pairs) == [(0, 0.1), (0, 0.2), (0, 0.3)]
         assert history.column_map().tolist() == [0, 0, 1, 1, 1, 0, 0, 0, 0, 2, 1, 1]
-        assert history.thresholds[5] == 0.1 and history.thresholds[10] == 0.2
+        thresholds = self._thresholds(history)
+        assert thresholds[5] == 0.1 and thresholds[10] == 0.2
 
     def test_zero_count_rejected(self):
         history = ModelHistory()
@@ -346,9 +359,13 @@ class TestCounterfactualMatrix:
         model = original_pce_model()
         raw = predict_risk_batch(model, table)
         shifted = raw - np.asarray(thresholds)
-        diagonal_shifted = [matrix.shifted_column(d)[k] for k, d in enumerate(matrix.column_map)]
+        version, threshold, diagonal_raw, diagonal_shifted = matrix.diagonal()
+        assert version.tolist() == [0] * 80
+        assert threshold.tolist() == thresholds
+        assert np.max(np.abs(diagonal_raw - raw)) < 1e-15
         assert np.max(np.abs(diagonal_shifted - shifted)) < 1e-15
-        assert np.max(np.abs(matrix.diagonal_raw() - raw)) < 1e-15
+        own_columns = [matrix.shifted_column(d)[k] for k, d in enumerate(matrix.column_map)]
+        assert np.array_equal(diagonal_shifted, own_columns)
 
     def test_two_versions_match_naive_per_cell_recomputation(self):
         table = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(11), 400)
