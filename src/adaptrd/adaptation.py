@@ -47,11 +47,7 @@ DEFAULT_SHRINK_N0 = 5000
 
 @dataclass(frozen=True)
 class FixedThreshold:
-    c: float
-
-    def __post_init__(self):
-        if not 0.0 < self.c < 1.0:
-            raise ConfigError("fixed threshold must lie in (0, 1)")
+    """No threshold update: the trial keeps its ``initial_threshold``."""
 
 
 @dataclass(frozen=True)

@@ -26,20 +26,21 @@ from .cohort import SyntheticCohortParams, TruncatedNormal
 from .errors import ConfigError
 from .estimator import EstimatorConfig
 from .numerics import GAUSSIAN, LOGIT
-from .outcomes import BINARY, PARAMS_BY_VARIANT, VARIANTS, OutcomeModel
+from .outcomes import ASCVD, PARAMS_BY_VARIANT, VARIANTS, OutcomeModel
 
 ThresholdStrategy = Union[FixedThreshold, RateTargetThreshold, NntTargetThreshold]
 ModelStrategy = Union[NoModelUpdate, RecalibrateModel, ReviseModel]
 
-# Per-scenario canonical (outcome variant, threshold kind, model kind, family).
-# The degenerate strategies (fixed threshold, no model update) are always
-# admissible so no-adaptation baselines of any scenario can be run.
+# Per-scenario (outcome variant, GLM family). A scenario id fixes nothing
+# else: any threshold strategy runs with any model strategy, so the model and
+# the threshold can adapt together. Only a model update needs the ascvd
+# outcome, the event the risk model predicts.
 _SCENARIO_SHAPES = {
-    1: ("attendance", RateTargetThreshold, NoModelUpdate, LOGIT),
-    2: ("cholesterol", RateTargetThreshold, NoModelUpdate, GAUSSIAN),
-    3: ("cholesterol", NntTargetThreshold, NoModelUpdate, GAUSSIAN),
-    4: ("ascvd", FixedThreshold, RecalibrateModel, LOGIT),
-    5: ("ascvd", FixedThreshold, ReviseModel, LOGIT),
+    1: ("attendance", LOGIT),
+    2: ("cholesterol", GAUSSIAN),
+    3: ("cholesterol", GAUSSIAN),
+    4: (ASCVD, LOGIT),
+    5: (ASCVD, LOGIT),
 }
 
 
@@ -51,8 +52,6 @@ class ScenarioConfig:
     model_strategy: ModelStrategy
     estimator: EstimatorConfig
     n_patients: int = 3000
-    warmup: int = 400
-    update_every: int = 100
     initial_threshold: float = 0.10
     seed: int = 0
     cohort_params: SyntheticCohortParams = field(default_factory=SyntheticCohortParams)
@@ -62,32 +61,28 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.scenario_id not in _SCENARIO_SHAPES:
             raise ConfigError(f"scenario id must be 1..5, got {self.scenario_id}")
-        if not 1 <= self.warmup < self.n_patients:
-            raise ConfigError("need 1 <= warmup < n_patients")
-        if self.update_every < 1:
-            raise ConfigError("update_every must be >= 1")
+        if self.n_patients < 1:
+            raise ConfigError("n_patients must be at least 1")
         if not 0.0 < self.initial_threshold < 1.0:
             raise ConfigError("initial threshold must lie in (0, 1)")
-        variant, thr_kind, model_kind, family = _SCENARIO_SHAPES[self.scenario_id]
+        for key in ("threshold_strategy", "model_strategy"):
+            warmup = getattr(getattr(self, key), "warmup", 0)
+            if warmup >= self.n_patients:
+                raise ConfigError(
+                    f"{key}.warmup must be below n_patients={self.n_patients}, "
+                    f"got {warmup}: the strategy would never update"
+                )
+        variant, family = _SCENARIO_SHAPES[self.scenario_id]
         if self.outcome.variant != variant:
             raise ConfigError(
                 f"scenario {self.scenario_id} requires the {variant} outcome, "
                 f"got {self.outcome.variant}"
             )
-        if not isinstance(self.threshold_strategy, (thr_kind, FixedThreshold)):
+        if not isinstance(self.model_strategy, NoModelUpdate) and variant != ASCVD:
             raise ConfigError(
-                f"scenario {self.scenario_id} requires threshold strategy "
-                f"{thr_kind.__name__} (or a fixed threshold)"
+                f"model updates need the {ASCVD} outcome, the event the risk model "
+                f"predicts; scenario {self.scenario_id} has the {variant} outcome"
             )
-        if not isinstance(self.model_strategy, (model_kind, NoModelUpdate)):
-            raise ConfigError(
-                f"scenario {self.scenario_id} requires model strategy "
-                f"{model_kind.__name__} (or no model updates)"
-            )
-        if self.outcome.kind == BINARY and self.estimator.family == GAUSSIAN:
-            raise ConfigError("binary outcomes need a bernoulli GLM family")
-        if self.outcome.kind != BINARY and self.estimator.family != GAUSSIAN:
-            raise ConfigError("continuous outcomes need the gaussian family")
         if family != self.estimator.family:
             raise ConfigError(
                 f"scenario {self.scenario_id} uses the {family} family"
@@ -200,50 +195,48 @@ def _outcome(payload: dict) -> OutcomeModel:
     )
 
 
-def _threshold_strategy(payload: dict, warmup: int, update_every: int):
+def _cadence(payload: dict, where: str, defaults: dict) -> dict:
+    """A strategy's ``warmup`` and ``update_every``: its own, else the top-level ones."""
+    return {
+        key: _number(payload.get(key, default), f"{where}.{key}", int)
+        for key, default in defaults.items()
+    }
+
+
+def _threshold_strategy(payload: dict, cadence: dict):
     where = "threshold_strategy"
     kind = _get(payload, "kind", where)
     if kind == "fixed":
-        _require_keys(payload, {"kind", "c"}, where)
-        return FixedThreshold(_number(_get(payload, "c", where), f"{where}.c"))
+        _require_keys(payload, {"kind"}, where)
+        return FixedThreshold()
     if kind == "rate_target":
-        _require_keys(payload, {"kind", "target_rate", "warmup", "update_every"}, where)
+        _require_keys(payload, {"kind", "target_rate", *cadence}, where)
         return RateTargetThreshold(
             target_rate=_number(_get(payload, "target_rate", where), f"{where}.target_rate"),
-            warmup=_number(payload.get("warmup", warmup), f"{where}.warmup", int),
-            update_every=_number(
-                payload.get("update_every", update_every), f"{where}.update_every", int
-            ),
+            **_cadence(payload, where, cadence),
         )
     if kind == "nnt_target":
-        _require_keys(payload, {"kind", "nnt", "warmup", "update_every", "smoothing"}, where)
+        _require_keys(payload, {"kind", "nnt", "smoothing", *cadence}, where)
         return NntTargetThreshold(
             nnt=_number(_get(payload, "nnt", where), f"{where}.nnt"),
-            warmup=_number(payload.get("warmup", warmup), f"{where}.warmup", int),
-            update_every=_number(
-                payload.get("update_every", update_every), f"{where}.update_every", int
-            ),
             smoothing=_number(payload.get("smoothing", 0.5), f"{where}.smoothing"),
+            **_cadence(payload, where, cadence),
         )
     raise ConfigError(f"unknown threshold strategy kind: {kind!r}")
 
 
-def _model_strategy(payload: dict, warmup: int, update_every: int):
-    kind = _get(payload, "kind", "model_strategy")
+def _model_strategy(payload: dict, cadence: dict):
+    where = "model_strategy"
+    kind = _get(payload, "kind", where)
     if kind == "none":
-        _require_keys(payload, {"kind"}, "model_strategy")
+        _require_keys(payload, {"kind"}, where)
         return NoModelUpdate()
     if kind in ("recalibrate", "revise"):
-        _require_keys(
-            payload, {"kind", "warmup", "update_every", "shrink_n0"}, "model_strategy"
-        )
+        _require_keys(payload, {"kind", "shrink_n0", *cadence}, where)
         cls = RecalibrateModel if kind == "recalibrate" else ReviseModel
         return cls(
-            warmup=_number(payload.get("warmup", warmup), "model_strategy.warmup", int),
-            update_every=_number(
-                payload.get("update_every", update_every), "model_strategy.update_every", int
-            ),
-            shrink_n0=_number(payload.get("shrink_n0", 5000), "model_strategy.shrink_n0", int),
+            shrink_n0=_number(payload.get("shrink_n0", 5000), f"{where}.shrink_n0", int),
+            **_cadence(payload, where, cadence),
         )
     raise ConfigError(f"unknown model strategy kind: {kind!r}")
 
@@ -276,8 +269,11 @@ def parse_config(payload: dict) -> ScenarioConfig:
         raise ConfigError("config document must be a JSON object")
     _require_keys(payload, _TOP_KEYS, "config")
     scenario = _number(_get(payload, "scenario", "config"), "scenario", int)
-    warmup = _number(payload.get("warmup", 400), "warmup", int)
-    update_every = _number(payload.get("update_every", 100), "update_every", int)
+    # The top-level cadence is only the default of each adaptive strategy's.
+    cadence = {
+        "warmup": _number(payload.get("warmup", 400), "warmup", int),
+        "update_every": _number(payload.get("update_every", 100), "update_every", int),
+    }
 
     cohort_payload = payload.get("cohort", {"source": "synthetic"})
     _require_keys(cohort_payload, {"source", "params", "path"}, "cohort")
@@ -298,19 +294,15 @@ def parse_config(payload: dict) -> ScenarioConfig:
     return ScenarioConfig(
         scenario_id=scenario,
         n_patients=_number(payload.get("n_patients", 3000), "n_patients", int),
-        warmup=warmup,
-        update_every=update_every,
         initial_threshold=_number(payload.get("initial_threshold", 0.10), "initial_threshold"),
         seed=_number(payload.get("seed", 0), "seed", int),
         cohort_params=cohort_params,
         cohort_csv=cohort_csv,
         outcome=_outcome(_get(payload, "outcome", "config")),
         threshold_strategy=_threshold_strategy(
-            _get(payload, "threshold_strategy", "config"), warmup, update_every
+            _get(payload, "threshold_strategy", "config"), cadence
         ),
-        model_strategy=_model_strategy(
-            _get(payload, "model_strategy", "config"), warmup, update_every
-        ),
+        model_strategy=_model_strategy(_get(payload, "model_strategy", "config"), cadence),
         estimator=_estimator(_get(payload, "estimator", "config")),
         coefficients_file=payload.get("coefficients_file"),
     )

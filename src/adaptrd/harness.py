@@ -516,7 +516,7 @@ def run_replications(config: ScenarioConfig, count: int, workers: int = 1) -> Re
 def scenario_preset(scenario_id: int, seed: int = 0, **overrides) -> ScenarioConfig:
     """The bundled ``presets/scenarioN.json`` config with ``seed`` and field overrides.
 
-    ``warmup`` and ``update_every`` also reach the strategy that carries them.
+    ``warmup`` and ``update_every`` are the defaults of each adaptive strategy's cadence.
     """
     if scenario_id not in _SCENARIO_SHAPES:
         raise ConfigError(f"scenario id must be 1..5, got {scenario_id}")

@@ -109,7 +109,7 @@ def test_criterion_04_static_model_reduction():
     config = ScenarioConfig(
         scenario_id=2,
         outcome=OutcomeModel("cholesterol"),
-        threshold_strategy=FixedThreshold(0.1),
+        threshold_strategy=FixedThreshold(),
         model_strategy=NoModelUpdate(),
         estimator=EstimatorConfig(family=GAUSSIAN),
         n_patients=2000,
@@ -140,7 +140,7 @@ def test_criterion_05_numerics_oracles():
     config = ScenarioConfig(
         scenario_id=2,
         outcome=OutcomeModel("cholesterol"),
-        threshold_strategy=FixedThreshold(0.1),
+        threshold_strategy=FixedThreshold(),
         model_strategy=NoModelUpdate(),
         estimator=EstimatorConfig(family=GAUSSIAN),
         n_patients=900,

@@ -195,6 +195,24 @@ class TestSameRunCheck:
         assert code == 0
         assert (out / "curve.csv").read_bytes() == (replay / "curve.csv").read_bytes()
 
+    def test_version_at_several_thresholds_replays_bitwise(self, tmp_path):
+        # The threshold adapts twice as often as the revised model, so some
+        # model versions meet more than one threshold.
+        joint = ["--override",
+                 'threshold_strategy={"kind":"rate_target","target_rate":0.3,"update_every":50}']
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--config", "scenario5", "--out", str(out),
+                       *joint, *SMALL) == 0
+        logged = read_trial_csv(out / "trial.csv")
+        matrix = import_matrix_csv(out / "matrix.csv", logged.column_pairs)
+        assert matrix.n_distinct > len(matrix.version_ids) > 1
+        replay = tmp_path / "replay"
+        code = run_cli("estimate", "--trial", str(out / "trial.csv"),
+                       "--matrix", str(out / "matrix.csv"),
+                       "--config", "scenario5", *joint, "--out", str(replay))
+        assert code == 0
+        assert (out / "curve.csv").read_bytes() == (replay / "curve.csv").read_bytes()
+
     def test_raw_risk_one_ulp_off_exit_2(self, tmp_path, capsys):
         out = tmp_path / "run"
         assert run_cli("simulate", "--config", "scenario5", "--out", str(out), *SMALL) == 0
@@ -401,11 +419,26 @@ class TestValidateConfig:
             ("cohort.params.age_range=5", r"cohort.params.age_range must be a \[low, high\] pair"),
             ("outcome.params=3", "outcome.params must be a JSON object, got 3"),
             ("threshold_strategy=3", "threshold_strategy must be a JSON object, got 3"),
+            # No patient, a strategy that could never update, and a key the
+            # fixed threshold does not take (it keeps initial_threshold).
+            ("n_patients=0", "n_patients must be at least 1"),
+            ("scenario5 n_patients=600 model_strategy.warmup=5000",
+             "model_strategy.warmup must be below n_patients=600, got 5000"),
+            ("scenario1 n_patients=600 threshold_strategy.warmup=5000",
+             "threshold_strategy.warmup must be below n_patients=600, got 5000"),
+            ("scenario4 threshold_strategy.c=0.3", "unknown key.s. in threshold_strategy: c"),
         ],
     )
     def test_values_of_the_wrong_type_exit_2(self, capsys, override, message):
-        config = "scenario4" if override.startswith("model_strategy") else "scenario1"
-        code = run_cli("validate-config", "--config", config, "--override", override)
+        # ``override`` holds one or more key=value pairs, after the preset
+        # they apply to where that is not the default.
+        words = override.split()
+        if "=" in words[0]:
+            config = "scenario4" if override.startswith("model_strategy") else "scenario1"
+        else:
+            config = words.pop(0)
+        argv = [arg for word in words for arg in ("--override", word)]
+        code = run_cli("validate-config", "--config", config, *argv)
         assert code == 2
         assert re.search(message, capsys.readouterr().err)
 

@@ -8,7 +8,6 @@ from adaptrd import estimator
 
 from adaptrd.adaptation import (
     FixedThreshold,
-    NntTargetThreshold,
     NoModelUpdate,
     RateTargetThreshold,
     RecalibrateModel,
@@ -59,21 +58,31 @@ class TestConfigValidation:
         cfg = ScenarioConfig(
             scenario_id=2,
             outcome=OutcomeModel("cholesterol"),
-            threshold_strategy=FixedThreshold(0.1),
+            threshold_strategy=FixedThreshold(),
             model_strategy=NoModelUpdate(),
             estimator=EstimatorConfig(family=GAUSSIAN),
             n_patients=500,
         )
         assert cfg.scenario_id == 2
 
-    def test_wrong_adaptive_strategy_rejected(self):
-        with pytest.raises(ConfigError, match="threshold strategy"):
+    def test_threshold_and_model_adapt_together(self):
+        cfg = ScenarioConfig(
+            scenario_id=4,
+            outcome=OutcomeModel("ascvd"),
+            threshold_strategy=RateTargetThreshold(0.3),
+            model_strategy=RecalibrateModel(),
+            estimator=EstimatorConfig(family=LOGIT),
+        )
+        assert isinstance(cfg.threshold_strategy, RateTargetThreshold)
+
+    def test_model_update_needs_the_ascvd_outcome(self):
+        with pytest.raises(ConfigError, match="ascvd"):
             ScenarioConfig(
-                scenario_id=1,
-                outcome=OutcomeModel("attendance"),
-                threshold_strategy=NntTargetThreshold(3.0),
-                model_strategy=NoModelUpdate(),
-                estimator=EstimatorConfig(family=LOGIT),
+                scenario_id=2,
+                outcome=OutcomeModel("cholesterol"),
+                threshold_strategy=RateTargetThreshold(0.3),
+                model_strategy=RecalibrateModel(),
+                estimator=EstimatorConfig(family=GAUSSIAN),
             )
 
     def test_warmup_bounds(self):
@@ -90,7 +99,7 @@ class TestRunScenario:
         cfg = ScenarioConfig(
             scenario_id=2,
             outcome=OutcomeModel("cholesterol"),
-            threshold_strategy=FixedThreshold(0.1),
+            threshold_strategy=FixedThreshold(),
             model_strategy=NoModelUpdate(),
             estimator=EstimatorConfig(family=GAUSSIAN),
             n_patients=500,
