@@ -83,7 +83,7 @@ class NoModelUpdate:
 
 
 @dataclass(frozen=True)
-class RecalibrateModel:
+class _ModelUpdate:
     warmup: int = 400
     update_every: int = 100
     shrink_n0: int = DEFAULT_SHRINK_N0
@@ -94,16 +94,12 @@ class RecalibrateModel:
             raise ConfigError("shrink_n0 must be positive")
 
 
-@dataclass(frozen=True)
-class ReviseModel:
-    warmup: int = 400
-    update_every: int = 100
-    shrink_n0: int = DEFAULT_SHRINK_N0
+class RecalibrateModel(_ModelUpdate):
+    """Update by ``recalibrate_model``: a shrunk intercept/slope map of the original model."""
 
-    def __post_init__(self):
-        _check_cadence(self.warmup, self.update_every)
-        if self.shrink_n0 <= 0:
-            raise ConfigError("shrink_n0 must be positive")
+
+class ReviseModel(_ModelUpdate):
+    """Update by ``revise_model``: a shrunk unstratified refit without race and sex."""
 
 
 def _check_cadence(warmup: int, update_every: int) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .estimator import (
     fit_outcome_surface,
 )
 from .harness import evaluate_at_final_threshold, run_replications, run_scenario
-from .numerics import GAUSSIAN, LOGIT
+from .outcomes import BINARY, CONTINUOUS, FAMILY_BY_KIND
 from .risk_engine import (
     SUBGROUPS,
     export_matrix_csv,
@@ -52,6 +53,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     if step <= 0 or hi <= lo:
         raise ConfigError("grid needs hi > lo and step > 0")
     count = int(round((hi - lo) / step)) + 1
+    if not math.isclose((count - 1) * step, hi - lo, rel_tol=1e-9):
+        raise ConfigError(f"grid step {step!r} does not divide hi - lo = {hi - lo!r}")
     return np.linspace(lo, hi, count)
 
 
@@ -65,6 +68,7 @@ def _load_scenario(args):
 
 def _cmd_simulate(args) -> int:
     config = _load_scenario(args)
+    grid = _parse_grid(args.grid) if args.grid else None  # checked before the trial runs
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trial = run_scenario(config)
@@ -73,7 +77,8 @@ def _cmd_simulate(args) -> int:
     export_matrix_csv(trial.matrix, out / "matrix.csv")
 
     surface = fit_outcome_surface(trial.matrix, trial.treatment, trial.outcome, config.estimator)
-    grid = _parse_grid(args.grid) if args.grid else default_grid(trial.matrix.focal_shifted)
+    if grid is None:
+        grid = default_grid(trial.matrix.focal_shifted)
     curve = effect_curve(surface, trial.matrix, grid, config.estimator)
     write_curve_csv(curve, out / "curve.csv")
 
@@ -139,8 +144,8 @@ def _infer_estimator_config(args, outcomes: np.ndarray) -> EstimatorConfig:
         payload = load_config_payload(args.config)
         payload = apply_overrides(payload, args.override or [])
         return parse_config(payload).estimator
-    binary = np.all(np.isin(outcomes, (0.0, 1.0)))
-    return EstimatorConfig(family=LOGIT if binary else GAUSSIAN)
+    kind = BINARY if np.all(np.isin(outcomes, (0.0, 1.0))) else CONTINUOUS
+    return EstimatorConfig(family=FAMILY_BY_KIND[kind])
 
 
 def _check_same_run(logged, matrix) -> None:
@@ -160,12 +165,14 @@ def _check_same_run(logged, matrix) -> None:
 
 
 def _cmd_estimate(args) -> int:
+    grid = _parse_grid(args.grid) if args.grid else None
     logged = read_trial_csv(args.trial)
     matrix = import_matrix_csv(args.matrix, logged.column_pairs)
     _check_same_run(logged, matrix)
     config = _infer_estimator_config(args, logged.outcome)
     surface = fit_outcome_surface(matrix, logged.treatment, logged.outcome, config)
-    grid = _parse_grid(args.grid) if args.grid else default_grid(matrix.focal_shifted)
+    if grid is None:
+        grid = default_grid(matrix.focal_shifted)
     curve = effect_curve(surface, matrix, grid, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -106,7 +106,7 @@ class SyntheticCohortParams:
             p = getattr(self, name)
             _check_probs(name, {name: p, "complement": 1.0 - p})
         if set(self.race_probs) != set(RACES):
-            raise ConfigError(f"race_probs must have keys {RACES}")
+            raise ConfigError(f"race_probs must have keys {RACES}, got {tuple(self.race_probs)}")
         _check_probs("race", self.race_probs)
         if self.hdl_sd <= 0:
             raise ConfigError("hdl_sd must be positive")

@@ -9,10 +9,12 @@ are applied to the raw JSON document before parsing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+import sys
+from dataclasses import MISSING, dataclass, field, fields
+from functools import cache
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional, Union, get_origin, get_type_hints
 
 from .adaptation import (
     FixedThreshold,
@@ -22,26 +24,19 @@ from .adaptation import (
     RecalibrateModel,
     ReviseModel,
 )
-from .cohort import SyntheticCohortParams, TruncatedNormal
+from .cohort import SyntheticCohortParams
 from .errors import ConfigError
 from .estimator import EstimatorConfig
-from .numerics import GAUSSIAN, LOGIT
-from .outcomes import ASCVD, PARAMS_BY_VARIANT, VARIANTS, OutcomeModel
+from .outcomes import ASCVD, FAMILY_BY_KIND, PARAMS_BY_VARIANT, OutcomeModel
 
 ThresholdStrategy = Union[FixedThreshold, RateTargetThreshold, NntTargetThreshold]
 ModelStrategy = Union[NoModelUpdate, RecalibrateModel, ReviseModel]
 
-# Per-scenario (outcome variant, GLM family). A scenario id fixes nothing
-# else: any threshold strategy runs with any model strategy, so the model and
-# the threshold can adapt together. Only a model update needs the ascvd
-# outcome, the event the risk model predicts.
-_SCENARIO_SHAPES = {
-    1: ("attendance", LOGIT),
-    2: ("cholesterol", GAUSSIAN),
-    3: ("cholesterol", GAUSSIAN),
-    4: (ASCVD, LOGIT),
-    5: (ASCVD, LOGIT),
-}
+# Per-scenario outcome variant. A scenario id fixes nothing else: the GLM
+# family follows from the outcome's kind, and any threshold strategy runs with
+# any model strategy, so the model and the threshold can adapt together. Only
+# a model update needs the ascvd outcome, the event the risk model predicts.
+_SCENARIO_VARIANTS = {1: "attendance", 2: "cholesterol", 3: "cholesterol", 4: ASCVD, 5: ASCVD}
 
 
 @dataclass(frozen=True)
@@ -59,20 +54,20 @@ class ScenarioConfig:
     coefficients_file: Optional[str] = None
 
     def __post_init__(self):
-        if self.scenario_id not in _SCENARIO_SHAPES:
+        if self.scenario_id not in _SCENARIO_VARIANTS:
             raise ConfigError(f"scenario id must be 1..5, got {self.scenario_id}")
         if self.n_patients < 1:
             raise ConfigError("n_patients must be at least 1")
         if not 0.0 < self.initial_threshold < 1.0:
             raise ConfigError("initial threshold must lie in (0, 1)")
         for key in ("threshold_strategy", "model_strategy"):
-            warmup = getattr(getattr(self, key), "warmup", 0)
-            if warmup >= self.n_patients:
+            warmup = getattr(getattr(self, key), "warmup", None)  # None: never updates
+            if warmup is not None and warmup >= self.n_patients:
                 raise ConfigError(
                     f"{key}.warmup must be below n_patients={self.n_patients}, "
                     f"got {warmup}: the strategy would never update"
                 )
-        variant, family = _SCENARIO_SHAPES[self.scenario_id]
+        variant = _SCENARIO_VARIANTS[self.scenario_id]
         if self.outcome.variant != variant:
             raise ConfigError(
                 f"scenario {self.scenario_id} requires the {variant} outcome, "
@@ -83,13 +78,15 @@ class ScenarioConfig:
                 f"model updates need the {ASCVD} outcome, the event the risk model "
                 f"predicts; scenario {self.scenario_id} has the {variant} outcome"
             )
+        family = FAMILY_BY_KIND[self.outcome.kind]
         if family != self.estimator.family:
             raise ConfigError(
-                f"scenario {self.scenario_id} uses the {family} family"
+                f"the {variant} outcome is {self.outcome.kind}, so scenario "
+                f"{self.scenario_id} uses the {family} family"
             )
 
 
-PRESET_NAMES = tuple(f"scenario{i}" for i in range(1, 6))
+PRESET_NAMES = tuple(f"scenario{i}" for i in _SCENARIO_VARIANTS)
 
 _TOP_KEYS = {
     "scenario",
@@ -128,139 +125,84 @@ def _get(section: dict, key: str, where: str):
 
 def _number(value, key: str, kind=float):
     """``value`` as a ``kind`` (float or int); raises ConfigError naming ``key``
-    for a non-number, a boolean, or a non-integral value for an int."""
+    for a non-number, a boolean, a number no float holds (NaN, an infinity,
+    a huge integer), or a non-integral value for an int."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key} must be a number, got {value!r}")
+    if value != value or abs(value) > sys.float_info.max:
+        raise ConfigError(f"{key} must be a finite number, got {value!r}")
     if kind is int and not (isinstance(value, int) or value.is_integer()):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return kind(value)
 
 
-def _truncated_normal(payload: dict, where: str) -> TruncatedNormal:
-    keys = ("mean", "sd", "lower", "upper")
-    _require_keys(payload, set(keys), where)
-    return TruncatedNormal(*(_number(_get(payload, k, where), f"{where}.{k}") for k in keys))
+_field_types = cache(get_type_hints)  # a class's declared field types, resolved once
+
+def _value(kind, value, key: str):
+    """``value`` read as a field declared ``kind``: a number, a string, a
+    ``[low, high]`` pair, a dict of numbers or a nested section."""
+    if kind in (int, float):
+        return _number(value, key, kind)
+    if kind is str:
+        return str(value)
+    if kind is dict:
+        _check_object(value, key)
+        return {k: _number(v, f"{key}.{k}") for k, v in value.items()}
+    if get_origin(kind) is tuple:
+        if not isinstance(value, list) or len(value) != 2:
+            raise ConfigError(f"{key} must be a [low, high] pair, got {value!r}")
+        return tuple(_number(v, key) for v in value)
+    return _section(kind, value, key)
 
 
-_COHORT_PARAM_KEYS = {
-    "age_range",
-    "systolic_bp",
-    "total_chol",
-    "hdl_slope",
-    "hdl_sd",
-    "hdl_lower",
-    "hdl_upper_gap",
-    "p_female",
-    "race_probs",
-    "p_smoker",
-    "p_diabetes",
-    "p_bp_treated",
-}
+def _section(cls, payload: dict, where: str, defaults: Optional[dict] = None):
+    """A ``cls`` read from the JSON object at ``where``, whose keys are ``cls``'s fields.
 
-
-def _cohort_params(payload: dict) -> SyntheticCohortParams:
-    _require_keys(payload, _COHORT_PARAM_KEYS, "cohort.params")
+    An absent field takes ``defaults`` (the top-level cadence), else the
+    dataclass default; a field with neither is a missing required key.
+    """
+    declared = fields(cls)
+    _require_keys(payload, {f.name for f in declared}, where)
     kwargs = {}
-    if "age_range" in payload:
-        pair = payload["age_range"]
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ConfigError(f"cohort.params.age_range must be a [low, high] pair, got {pair!r}")
-        kwargs["age_range"] = tuple(_number(v, "cohort.params.age_range") for v in pair)
-    for key in ("systolic_bp", "total_chol"):
-        if key in payload:
-            kwargs[key] = _truncated_normal(payload[key], f"cohort.params.{key}")
-    for key in ("hdl_slope", "hdl_sd", "hdl_lower", "hdl_upper_gap", "p_female",
-                "p_smoker", "p_diabetes", "p_bp_treated"):
-        if key in payload:
-            kwargs[key] = _number(payload[key], f"cohort.params.{key}")
-    if "race_probs" in payload:
-        probs = payload["race_probs"]
-        _require_keys(probs, {"white", "black", "other"}, "cohort.params.race_probs")
-        kwargs["race_probs"] = {
-            k: _number(v, f"cohort.params.race_probs.{k}") for k, v in probs.items()
-        }
-    return SyntheticCohortParams(**kwargs)
+    for f in declared:
+        if f.name in payload:
+            value = payload[f.name]
+        elif defaults and f.name in defaults:
+            value = defaults[f.name]
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"missing required key '{f.name}' in {where}")
+        else:
+            continue
+        kwargs[f.name] = _value(_field_types(cls)[f.name], value, f"{where}.{f.name}")
+    return cls(**kwargs)
+
+
+_THRESHOLD_KINDS = {
+    "fixed": FixedThreshold,
+    "rate_target": RateTargetThreshold,
+    "nnt_target": NntTargetThreshold,
+}
+_MODEL_KINDS = {"none": NoModelUpdate, "recalibrate": RecalibrateModel, "revise": ReviseModel}
+
+
+def _strategy(payload: dict, slot: str, kinds: dict, cadence: dict):
+    """The strategy at ``payload[slot]``: its ``kind`` names the class, and
+    its other keys are that class's fields."""
+    section = _get(payload, slot, "config")
+    kind = _get(section, "kind", slot)
+    if kind not in kinds:
+        raise ConfigError(f"unknown {slot.replace('_', ' ')} kind: {kind!r}")
+    rest = {key: value for key, value in section.items() if key != "kind"}
+    return _section(kinds[kind], rest, slot, cadence)
 
 
 def _outcome(payload: dict) -> OutcomeModel:
     _require_keys(payload, {"variant", "params"}, "outcome")
     variant = _get(payload, "variant", "outcome")
-    if variant not in VARIANTS:
+    if variant not in PARAMS_BY_VARIANT:
         raise ConfigError(f"unknown outcome variant: {variant!r}")
-    cls = PARAMS_BY_VARIANT[variant]
-    params = payload.get("params", {})
-    _require_keys(params, {f.name for f in fields(cls)}, "outcome.params")
-    return OutcomeModel(
-        variant, cls(**{k: _number(v, f"outcome.params.{k}") for k, v in params.items()})
-    )
-
-
-def _cadence(payload: dict, where: str, defaults: dict) -> dict:
-    """A strategy's ``warmup`` and ``update_every``: its own, else the top-level ones."""
-    return {
-        key: _number(payload.get(key, default), f"{where}.{key}", int)
-        for key, default in defaults.items()
-    }
-
-
-def _threshold_strategy(payload: dict, cadence: dict):
-    where = "threshold_strategy"
-    kind = _get(payload, "kind", where)
-    if kind == "fixed":
-        _require_keys(payload, {"kind"}, where)
-        return FixedThreshold()
-    if kind == "rate_target":
-        _require_keys(payload, {"kind", "target_rate", *cadence}, where)
-        return RateTargetThreshold(
-            target_rate=_number(_get(payload, "target_rate", where), f"{where}.target_rate"),
-            **_cadence(payload, where, cadence),
-        )
-    if kind == "nnt_target":
-        _require_keys(payload, {"kind", "nnt", "smoothing", *cadence}, where)
-        return NntTargetThreshold(
-            nnt=_number(_get(payload, "nnt", where), f"{where}.nnt"),
-            smoothing=_number(payload.get("smoothing", 0.5), f"{where}.smoothing"),
-            **_cadence(payload, where, cadence),
-        )
-    raise ConfigError(f"unknown threshold strategy kind: {kind!r}")
-
-
-def _model_strategy(payload: dict, cadence: dict):
-    where = "model_strategy"
-    kind = _get(payload, "kind", where)
-    if kind == "none":
-        _require_keys(payload, {"kind"}, where)
-        return NoModelUpdate()
-    if kind in ("recalibrate", "revise"):
-        _require_keys(payload, {"kind", "shrink_n0", *cadence}, where)
-        cls = RecalibrateModel if kind == "recalibrate" else ReviseModel
-        return cls(
-            shrink_n0=_number(payload.get("shrink_n0", 5000), f"{where}.shrink_n0", int),
-            **_cadence(payload, where, cadence),
-        )
-    raise ConfigError(f"unknown model strategy kind: {kind!r}")
-
-
-_ESTIMATOR_KEYS = {
-    "spline_df",
-    "pca_variance",
-    "bandwidth",
-    "family",
-    "confidence",
-    "min_effective",
-}
-
-
-def _estimator(payload: dict) -> EstimatorConfig:
-    _require_keys(payload, _ESTIMATOR_KEYS, "estimator")
-    kwargs = {
-        key: _number(value, f"estimator.{key}", int if key == "spline_df" else float)
-        for key, value in payload.items()
-        if key != "family"
-    }
-    if "family" in payload:
-        kwargs["family"] = str(payload["family"])
-    return EstimatorConfig(**kwargs)
+    params = _section(PARAMS_BY_VARIANT[variant], payload.get("params", {}), "outcome.params")
+    return OutcomeModel(variant, params)
 
 
 def parse_config(payload: dict) -> ScenarioConfig:
@@ -283,7 +225,9 @@ def parse_config(payload: dict) -> ScenarioConfig:
     if source == "synthetic":
         if "path" in cohort_payload:
             raise ConfigError("synthetic cohort does not take a path")
-        cohort_params = _cohort_params(cohort_payload.get("params", {}))
+        cohort_params = _section(
+            SyntheticCohortParams, cohort_payload.get("params", {}), "cohort.params"
+        )
     elif source == "csv":
         if "params" in cohort_payload:
             raise ConfigError("csv cohort does not take synthetic params")
@@ -299,11 +243,9 @@ def parse_config(payload: dict) -> ScenarioConfig:
         cohort_params=cohort_params,
         cohort_csv=cohort_csv,
         outcome=_outcome(_get(payload, "outcome", "config")),
-        threshold_strategy=_threshold_strategy(
-            _get(payload, "threshold_strategy", "config"), cadence
-        ),
-        model_strategy=_model_strategy(_get(payload, "model_strategy", "config"), cadence),
-        estimator=_estimator(_get(payload, "estimator", "config")),
+        threshold_strategy=_strategy(payload, "threshold_strategy", _THRESHOLD_KINDS, cadence),
+        model_strategy=_strategy(payload, "model_strategy", _MODEL_KINDS, cadence),
+        estimator=_section(EstimatorConfig, _get(payload, "estimator", "config"), "estimator"),
         coefficients_file=payload.get("coefficients_file"),
     )
 
@@ -353,5 +295,10 @@ def load_config_payload(name_or_path: str) -> dict:
 
 def preset_payload(name: str) -> dict:
     """The bundled preset document ``name`` (one of PRESET_NAMES)."""
+    if name not in PRESET_NAMES:
+        raise ConfigError(
+            f"no bundled preset {name!r}: there is one per scenario id "
+            f"({', '.join(PRESET_NAMES)})"
+        )
     blob = resources.files("adaptrd").joinpath(f"presets/{name}.json").read_text()
     return json.loads(blob)

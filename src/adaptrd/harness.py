@@ -24,7 +24,6 @@ from .adaptation import (
     NntTargetThreshold,
     RateTargetThreshold,
     RecalibrateModel,
-    ReviseModel,
     cohens_d_curve,
     nnt_to_cohens_d,
     pooled_outcome_sd,
@@ -34,7 +33,7 @@ from .adaptation import (
     threshold_for_rate,
 )
 from .cohort import CohortTable, load_cohort_csv
-from .config import _SCENARIO_SHAPES, ScenarioConfig, parse_config, preset_payload
+from .config import ScenarioConfig, parse_config, preset_payload
 from .errors import AdaptRdError, ConfigError
 from .estimator import (
     aipw_ate,
@@ -132,18 +131,12 @@ def _original_model(config: ScenarioConfig) -> RiskModelVersion:
 def _update_indices(config: ScenarioConfig) -> tuple[set[int], set[int]]:
     """Indices (1-based, after that patient completes) at which each strategy fires."""
 
-    def cadence(warmup: int, every: int) -> set[int]:
-        return {m for m in range(warmup, config.n_patients, every)}
+    def fires(strategy) -> set[int]:
+        if getattr(strategy, "warmup", None) is None:  # a strategy that never updates
+            return set()
+        return set(range(strategy.warmup, config.n_patients, strategy.update_every))
 
-    thr = config.threshold_strategy
-    thr_idx: set[int] = set()
-    if isinstance(thr, (RateTargetThreshold, NntTargetThreshold)):
-        thr_idx = cadence(thr.warmup, thr.update_every)
-    mdl = config.model_strategy
-    mdl_idx: set[int] = set()
-    if isinstance(mdl, (RecalibrateModel, ReviseModel)):
-        mdl_idx = cadence(mdl.warmup, mdl.update_every)
-    return thr_idx, mdl_idx
+    return fires(config.threshold_strategy), fires(config.model_strategy)
 
 
 def run_scenario(config: ScenarioConfig, stream: Optional[SeedStream] = None) -> TrialData:
@@ -286,17 +279,12 @@ def _apply_model_update(
 ):
     strategy = config.model_strategy
     prefix = covariates.slice(0, m)
+    update = recalibrate_model if isinstance(strategy, RecalibrateModel) else revise_model
     try:
-        if isinstance(strategy, RecalibrateModel):
-            new_model = recalibrate_model(
-                prefix, treatment[:m], outcome[:m], original,
-                n0=strategy.shrink_n0, next_version_id=next_version_id,
-            )
-        else:
-            new_model = revise_model(
-                prefix, treatment[:m], outcome[:m], original,
-                n0=strategy.shrink_n0, next_version_id=next_version_id,
-            )
+        new_model = update(
+            prefix, treatment[:m], outcome[:m], original,
+            n0=strategy.shrink_n0, next_version_id=next_version_id,
+        )
     except AdaptRdError as exc:
         events.append(
             AdaptationEvent(
@@ -518,8 +506,6 @@ def scenario_preset(scenario_id: int, seed: int = 0, **overrides) -> ScenarioCon
 
     ``warmup`` and ``update_every`` are the defaults of each adaptive strategy's cadence.
     """
-    if scenario_id not in _SCENARIO_SHAPES:
-        raise ConfigError(f"scenario id must be 1..5, got {scenario_id}")
     payload = preset_payload(f"scenario{scenario_id}")
     payload["seed"] = seed
     for key in ("warmup", "update_every"):

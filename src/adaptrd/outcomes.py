@@ -22,7 +22,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .numerics import gaussian_kernel_weights
+from .numerics import GAUSSIAN, LOGIT, gaussian_kernel_weights
 from .seeds import SeedStream
 
 ATTENDANCE = "attendance"
@@ -32,6 +32,7 @@ VARIANTS = (ATTENDANCE, CHOLESTEROL, ASCVD)
 
 BINARY = "binary"
 CONTINUOUS = "continuous"
+FAMILY_BY_KIND = {BINARY: LOGIT, CONTINUOUS: GAUSSIAN}  # the estimator's GLM family
 
 _CLL_FLOOR = 1e-12
 

@@ -2,13 +2,25 @@ import csv
 import json
 import math
 import re
+from dataclasses import MISSING, fields, is_dataclass
 
 import numpy as np
 import pytest
 
+from adaptrd.adaptation import (
+    FixedThreshold,
+    NntTargetThreshold,
+    NoModelUpdate,
+    RateTargetThreshold,
+    RecalibrateModel,
+    ReviseModel,
+)
 from adaptrd.cli import main
+from adaptrd.cohort import SyntheticCohortParams, TruncatedNormal
 from adaptrd.config import PRESET_NAMES, apply_overrides, load_config_payload, parse_config
 from adaptrd.errors import ConfigError
+from adaptrd.estimator import EstimatorConfig
+from adaptrd.outcomes import AscvdParams, AttendanceParams, CholesterolParams
 from adaptrd.harness import run_scenario, scenario_preset
 from adaptrd.risk_engine import import_matrix_csv
 from adaptrd.seeds import SeedStream
@@ -61,6 +73,84 @@ class TestConfigModule:
     def test_missing_config_lists_presets(self):
         with pytest.raises(ConfigError, match="scenario1"):
             load_config_payload("nonexistent.json")
+
+
+# Each config section's class, a preset that holds one, its dotted key and
+# where it lands in the parsed ScenarioConfig.
+SECTIONS = [
+    (FixedThreshold, "scenario4", "threshold_strategy", lambda c: c.threshold_strategy),
+    (RateTargetThreshold, "scenario1", "threshold_strategy", lambda c: c.threshold_strategy),
+    (NntTargetThreshold, "scenario3", "threshold_strategy", lambda c: c.threshold_strategy),
+    (NoModelUpdate, "scenario1", "model_strategy", lambda c: c.model_strategy),
+    (RecalibrateModel, "scenario4", "model_strategy", lambda c: c.model_strategy),
+    (ReviseModel, "scenario5", "model_strategy", lambda c: c.model_strategy),
+    (EstimatorConfig, "scenario2", "estimator", lambda c: c.estimator),
+    (SyntheticCohortParams, "scenario1", "cohort.params", lambda c: c.cohort_params),
+    (TruncatedNormal, "scenario1", "cohort.params.systolic_bp",
+     lambda c: c.cohort_params.systolic_bp),
+    (AttendanceParams, "scenario1", "outcome.params", lambda c: c.outcome.params),
+    (CholesterolParams, "scenario2", "outcome.params", lambda c: c.outcome.params),
+    (AscvdParams, "scenario4", "outcome.params", lambda c: c.outcome.params),
+]
+
+
+def as_json(value):
+    """A parsed setting as the JSON document that sets it."""
+    if is_dataclass(value):
+        return {f.name: as_json(getattr(value, f.name)) for f in fields(value)}
+    return list(value) if isinstance(value, tuple) else value
+
+
+def another(value):
+    """A valid setting other than ``value``; a string (the GLM family, which
+    the outcome fixes) stays as it is."""
+    if is_dataclass(value):
+        return type(value)(**{f.name: another(getattr(value, f.name)) for f in fields(value)})
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, float):
+        return value * 0.9
+    if isinstance(value, tuple):
+        return (value[0] + 1.0, value[1] - 1.0)
+    if isinstance(value, dict):
+        shares = list(value.values())
+        return dict(zip(value, shares[1:] + shares[:1]))
+    return value
+
+
+class TestSectionReader:
+    """Every config section's keys are its dataclass's fields."""
+
+    @pytest.mark.parametrize("cls, preset, where, reach", SECTIONS,
+                             ids=[section[0].__name__ for section in SECTIONS])
+    def test_each_field_is_set_by_its_dotted_key(self, cls, preset, where, reach):
+        base = reach(parse_config(load_config_payload(preset)))
+        assert type(base) is cls
+
+        def parsed(overrides, drop=None):
+            # The preset with every field of the section written out.
+            payload = load_config_payload(preset)
+            node = payload
+            for part in where.split("."):
+                node = node.setdefault(part, {})
+            node.update(as_json(base))
+            if drop is not None:
+                del node[drop]
+            return reach(parse_config(apply_overrides(payload, overrides)))
+
+        assert parsed([]) == base
+        for f in fields(cls):
+            value = another(getattr(base, f.name))
+            got = getattr(parsed([f"{where}.{f.name}={json.dumps(as_json(value))}"]), f.name)
+            assert got == value and type(got) is type(value), f.name
+            if f.default is MISSING and f.default_factory is MISSING:
+                with pytest.raises(ConfigError, match=f"missing required key '{f.name}' in {where}$"):
+                    parsed([], drop=f.name)
+            else:
+                default = f.default if f.default is not MISSING else f.default_factory()
+                assert getattr(parsed([], drop=f.name), f.name) == default, f.name
+        with pytest.raises(ConfigError, match=f"unknown key.s. in {where}: bogus$"):
+            parsed([f"{where}.bogus=1"])
 
 
 class TestTrialIo:
@@ -147,6 +237,13 @@ class TestEstimateReplay:
         with (replay / "curve.csv").open() as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 22  # header + 21 grid points
+
+    def test_grid_step_that_does_not_divide_the_range_exits_2(self, tmp_path, capsys):
+        code = run_cli("simulate", "--config", "scenario2", "--out", str(tmp_path / "run"),
+                       "--grid", "0:0.1:0.04", *SMALL)
+        assert code == 2
+        assert "grid step 0.04 does not divide" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()  # rejected before the trial ran
 
     def test_truncated_trial_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -427,6 +524,14 @@ class TestValidateConfig:
             ("scenario1 n_patients=600 threshold_strategy.warmup=5000",
              "threshold_strategy.warmup must be below n_patients=600, got 5000"),
             ("scenario4 threshold_strategy.c=0.3", "unknown key.s. in threshold_strategy: c"),
+            # JSON's NaN and Infinity are numbers that no setting takes.
+            ("scenario4 outcome.params.gamma1=NaN",
+             "outcome.params.gamma1 must be a finite number, got nan"),
+            ("estimator.min_effective=NaN", "estimator.min_effective must be a finite number, got nan"),
+            ("estimator.bandwidth=Infinity", "estimator.bandwidth must be a finite number, got inf"),
+            ("scenario3 threshold_strategy.nnt=NaN",
+             "threshold_strategy.nnt must be a finite number, got nan"),
+            ("initial_threshold=1" + "0" * 400, "initial_threshold must be a finite number, got 10+$"),
         ],
     )
     def test_values_of_the_wrong_type_exit_2(self, capsys, override, message):
