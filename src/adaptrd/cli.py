@@ -9,14 +9,13 @@ risk calculator over a cohort CSV), and ``validate-config``. Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .cohort import CSV_COLUMNS, covariate_columns, load_cohort_csv
+from .cohort import CSV_COLUMNS, covariate_columns, load_cohort_csv, write_csv
 from .config import apply_overrides, load_config_payload, parse_config
 from .errors import AdaptRdError, ConfigError, IngestionError
 from .estimator import (
@@ -50,6 +49,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         lo, hi, step = float(lo_s), float(hi_s), float(step_s)
     except ValueError as exc:
         raise ConfigError(f"grid must look like lo:hi:step, got {spec!r}") from exc
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise ConfigError(f"grid bounds and step must be finite numbers, got {spec!r}")
     if step <= 0 or hi <= lo:
         raise ConfigError("grid needs hi > lo and step > 0")
     count = int(round((hi - lo) / step)) + 1
@@ -119,12 +120,12 @@ def _cmd_replicate(args) -> int:
     report = run_replications(config, args.replications, workers=args.workers)
     write_json(report.to_dict(), out / "report.json")
 
-    with (out / "errors.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["rep", "method", "error"])
-        for method, entry in report.per_method.items():
-            for rep, err in zip(entry["reps"], entry["errors"]):
-                writer.writerow([rep, method, repr(float(err))])
+    rows = (
+        (rep, method, err)
+        for method, entry in report.per_method.items()
+        for rep, err in zip(entry["reps"], entry["errors"])
+    )
+    write_csv(out / "errors.csv", ("rep", "method", "error"), rows)
 
     if args.svg:
         groups = {
@@ -184,10 +185,8 @@ def _cmd_risk(args) -> int:
     table = load_cohort_csv(args.input)
     risks = predict_risk_batch(original_pce_model(), table)
     subgroups = np.array(SUBGROUPS)[subgroup_index(table)].tolist()
-    with Path(args.output).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS + ("subgroup", "risk"))
-        writer.writerows(zip(*covariate_columns(table), subgroups, risks.tolist()))
+    rows = zip(*covariate_columns(table), subgroups, risks.tolist())
+    write_csv(args.output, CSV_COLUMNS + ("subgroup", "risk"), rows)
     return 0
 
 

@@ -9,13 +9,15 @@ The covariate text format (floats by ``repr``, sex as ``female``/``male``,
 race from ``RACES``, flags as ``0``/``1``) has one writer,
 ``covariate_columns``, and one parser, ``parse_covariates``; cohort files
 (``save_cohort_csv``/``load_cohort_csv``) and logged trial files both use
-them. Only ``load_cohort_csv`` also enforces the range invariants.
+them. Only ``load_cohort_csv`` also enforces the range invariants. Every CSV
+file the package writes but ``matrix.csv`` (see ``rowfile``) goes through
+``write_csv``, and its number columns through ``csv_numbers``.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -135,17 +137,7 @@ class CohortTable:
         return self.age.size
 
     def slice(self, start: int, stop: int) -> "CohortTable":
-        return CohortTable(
-            age=self.age[start:stop],
-            female=self.female[start:stop],
-            race=self.race[start:stop],
-            systolic_bp=self.systolic_bp[start:stop],
-            total_chol=self.total_chol[start:stop],
-            hdl_chol=self.hdl_chol[start:stop],
-            smoker=self.smoker[start:stop],
-            diabetes=self.diabetes[start:stop],
-            bp_treated=self.bp_treated[start:stop],
-        )
+        return CohortTable(**{f.name: getattr(self, f.name)[start:stop] for f in fields(self)})
 
 
 def sample_cohort(params: SyntheticCohortParams, stream: SeedStream, n: int) -> CohortTable:
@@ -184,28 +176,38 @@ def _categorical(u: np.ndarray, probs: np.ndarray) -> np.ndarray:
 # The covariate CSV format
 
 
-def covariate_columns(table: CohortTable) -> list:
-    """The table's covariates as nine ``csv.writer`` columns, in CSV_COLUMNS order.
+def write_csv(path, header, rows) -> None:
+    """Write ``header``, then each of ``rows``, as one CSV file.
 
-    Floats are Python floats, which ``csv`` writes with ``repr`` (shortest
-    round-trip form), sex is ``female``/``male`` and flags are ``0``/``1``.
+    ``csv`` writes a Python float with ``repr``, its shortest round-trip
+    form, so re-reading the file gives back the same float bit for bit.
     """
-    def floats(values):
-        return np.asarray(values, dtype=float).tolist()
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
-    def flags(values):
-        return np.asarray(values).astype(int).tolist()
 
+def csv_numbers(values, kind=float) -> list:
+    """An array as a list of Python ``kind`` (float or int), ready for ``write_csv``."""
+    return np.asarray(values, dtype=kind).tolist()
+
+
+def covariate_columns(table: CohortTable) -> list:
+    """The table's covariates as nine ``write_csv`` columns, in CSV_COLUMNS order.
+
+    Sex is ``female``/``male`` and flags are ``0``/``1``.
+    """
     return [
-        floats(table.age),
+        csv_numbers(table.age),
         np.where(table.female, "female", "male").tolist(),
         table.race.tolist(),
-        floats(table.systolic_bp),
-        floats(table.total_chol),
-        floats(table.hdl_chol),
-        flags(table.smoker),
-        flags(table.diabetes),
-        flags(table.bp_treated),
+        csv_numbers(table.systolic_bp),
+        csv_numbers(table.total_chol),
+        csv_numbers(table.hdl_chol),
+        csv_numbers(table.smoker, int),
+        csv_numbers(table.diabetes, int),
+        csv_numbers(table.bp_treated, int),
     ]
 
 
@@ -328,7 +330,4 @@ def load_cohort_csv(path) -> CohortTable:
 
 def save_cohort_csv(path, table: CohortTable) -> None:
     """Write a table in the ingestion schema; floats use shortest round-trip."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(zip(*covariate_columns(table)))
+    write_csv(path, CSV_COLUMNS, zip(*covariate_columns(table)))

@@ -144,7 +144,9 @@ def _value(kind, value, key: str):
     if kind in (int, float):
         return _number(value, key, kind)
     if kind is str:
-        return str(value)
+        if not isinstance(value, str):
+            raise ConfigError(f"{key} must be a string, got {value!r}")
+        return value
     if kind is dict:
         _check_object(value, key)
         return {k: _number(v, f"{key}.{k}") for k, v in value.items()}
@@ -231,7 +233,7 @@ def parse_config(payload: dict) -> ScenarioConfig:
     elif source == "csv":
         if "params" in cohort_payload:
             raise ConfigError("csv cohort does not take synthetic params")
-        cohort_csv = str(_get(cohort_payload, "path", "cohort"))
+        cohort_csv = _value(str, _get(cohort_payload, "path", "cohort"), "cohort.path")
     else:
         raise ConfigError(f"unknown cohort source: {source!r}")
 
@@ -246,7 +248,10 @@ def parse_config(payload: dict) -> ScenarioConfig:
         threshold_strategy=_strategy(payload, "threshold_strategy", _THRESHOLD_KINDS, cadence),
         model_strategy=_strategy(payload, "model_strategy", _MODEL_KINDS, cadence),
         estimator=_section(EstimatorConfig, _get(payload, "estimator", "config"), "estimator"),
-        coefficients_file=payload.get("coefficients_file"),
+        coefficients_file=(
+            None if payload.get("coefficients_file") is None
+            else _value(str, payload["coefficients_file"], "coefficients_file")
+        ),
     )
 
 

@@ -168,7 +168,6 @@ def run_scenario(config: ScenarioConfig, stream: Optional[SeedStream] = None) ->
     outcome = np.empty(n)
 
     start = 0
-    next_version_id = 1
     for end in boundaries:
         if end <= start:
             continue
@@ -194,9 +193,8 @@ def run_scenario(config: ScenarioConfig, stream: Optional[SeedStream] = None) ->
                 current_threshold, target_d, events,
             )
         if m in mdl_idx:
-            current_model, next_version_id = _apply_model_update(
-                config, m, covariates, treatment, outcome, original,
-                current_model, next_version_id, events, scored,
+            current_model = _apply_model_update(
+                config, m, covariates, treatment, outcome, original, current_model, events, scored,
             )
 
     matrix = build_counterfactual_matrix(history, scored)
@@ -274,16 +272,20 @@ def _nnt_threshold(
 
 
 def _apply_model_update(
-    config, m, covariates, treatment, outcome, original, current_model,
-    next_version_id, events, scored,
-):
+    config, m, covariates, treatment, outcome, original, current_model, events, scored,
+) -> RiskModelVersion:
+    """The model after the update at ``m`` (the current one if it is skipped).
+
+    Version ids count up from the original's 0, one per model scored, so the
+    next id is ``len(scored)``.
+    """
     strategy = config.model_strategy
     prefix = covariates.slice(0, m)
     update = recalibrate_model if isinstance(strategy, RecalibrateModel) else revise_model
     try:
         new_model = update(
             prefix, treatment[:m], outcome[:m], original,
-            n0=strategy.shrink_n0, next_version_id=next_version_id,
+            n0=strategy.shrink_n0, next_version_id=len(scored),
         )
     except AdaptRdError as exc:
         events.append(
@@ -291,13 +293,13 @@ def _apply_model_update(
                 m, "model_skipped", current_model.version_id, current_model.version_id, str(exc)
             )
         )
-        return current_model, next_version_id
+        return current_model
     scored[new_model.version_id] = predict_risk_batch(new_model, covariates)
     detail = ",".join(f"{k}={v!r}" for k, v in sorted(new_model.fit_details.items()))
     events.append(
         AdaptationEvent(m, "model_update", current_model.version_id, new_model.version_id, detail)
     )
-    return new_model, next_version_id + 1
+    return new_model
 
 
 # ---------------------------------------------------------------------------
@@ -316,20 +318,10 @@ class MethodResult:
 @dataclass
 class EvaluationResult:
     truth: float
-    methods: dict
+    methods: dict  # {name: MethodResult}, in METHODS order
 
     def to_dict(self) -> dict:
-        out = {"truth": self.truth, "methods": {}}
-        for name in METHODS:
-            m = self.methods[name]
-            out["methods"][name] = {
-                "estimate": m.estimate,
-                "se": m.se,
-                "ci_low": m.ci_low,
-                "ci_high": m.ci_high,
-                "error": m.error,
-            }
-        return out
+        return dataclasses.asdict(self)
 
 
 def evaluate_at_final_threshold(trial: TrialData) -> EvaluationResult:
@@ -401,15 +393,7 @@ class ReplicationReport:
     failure_reasons: dict
 
     def to_dict(self) -> dict:
-        return {
-            "scenario_id": self.scenario_id,
-            "n_replications": self.n_replications,
-            "trial_failures": self.trial_failures,
-            "per_method": self.per_method,
-            "final_thresholds": self.final_thresholds,
-            "treated_fractions": self.treated_fractions,
-            "failure_reasons": self.failure_reasons,
-        }
+        return dataclasses.asdict(self)
 
 
 def _run_one_replication(config: ScenarioConfig, rep: int) -> dict:

@@ -195,6 +195,16 @@ def true_local_ate(model: OutcomeModel, r1):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _cohort_weights(baseline_risks, r: float, h: float, weight_values) -> tuple:
+    """The baseline risks as floats and the kernel weights at ``r`` over
+    ``weight_values`` (default: the baseline risks), which must align with them."""
+    baseline_risks = np.asarray(baseline_risks, dtype=float)
+    wv = baseline_risks if weight_values is None else np.asarray(weight_values, dtype=float)
+    if wv.shape != baseline_risks.shape:
+        raise ValidationError("weight values must align with baseline risks")
+    return baseline_risks, gaussian_kernel_weights(wv, r, h)
+
+
 def true_smoothed_ate(
     model: OutcomeModel,
     baseline_risks: np.ndarray,
@@ -208,11 +218,7 @@ def true_smoothed_ate(
     estimator weights on the shifted focal risks; the default weights on the
     baseline risks themselves).
     """
-    baseline_risks = np.asarray(baseline_risks, dtype=float)
-    wv = baseline_risks if weight_values is None else np.asarray(weight_values, dtype=float)
-    if wv.shape != baseline_risks.shape:
-        raise ValidationError("weight values must align with baseline risks")
-    w = gaussian_kernel_weights(wv, r, h)
+    baseline_risks, w = _cohort_weights(baseline_risks, r, h, weight_values)
     return float(w @ true_local_ate(model, baseline_risks))
 
 
@@ -225,8 +231,6 @@ def true_smoothed_arm_mean(
     weight_values: Optional[np.ndarray] = None,
 ) -> float:
     """Kernel-weighted true conditional mean potential outcome for one arm."""
-    baseline_risks = np.asarray(baseline_risks, dtype=float)
-    wv = baseline_risks if weight_values is None else np.asarray(weight_values, dtype=float)
-    w = gaussian_kernel_weights(wv, r, h)
+    baseline_risks, w = _cohort_weights(baseline_risks, r, h, weight_values)
     means = _outcome_mean(model, baseline_risks, float(arm) * np.ones_like(baseline_risks))
     return float(w @ means)

@@ -1,8 +1,9 @@
 """CSV and JSON serialization of trials, curves and replication reports.
 
-Floats are written with ``repr`` (shortest round-trip form), so re-reading a
-file reproduces the original values bit for bit and identical runs produce
-byte-identical outputs. The writers format whole columns at once.
+The CSV files are written by ``cohort.write_csv``, which writes floats with
+``repr`` (shortest round-trip form), so re-reading a file reproduces the
+original values bit for bit and identical runs produce byte-identical outputs.
+The trial writer formats whole columns at once.
 
 ``read_trial_csv`` is strict: it reads columns by header name and ignores
 extra ones, and a missing column, a row whose field count differs from the
@@ -12,36 +13,51 @@ categories raises ``IngestionError`` naming the line.
 
 from __future__ import annotations
 
-import csv
 import json
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .cohort import covariate_columns, parse_covariates, parse_numbers, read_csv_columns
+from .cohort import (
+    CSV_COLUMNS,
+    CohortTable,
+    covariate_columns,
+    csv_numbers,
+    parse_covariates,
+    parse_numbers,
+    read_csv_columns,
+    write_csv,
+)
 from .errors import IngestionError
 from .estimator import EffectCurve
 from .harness import AdaptationEvent, TrialData
 
-TRIAL_COLUMNS = (
-    "index",
-    "age",
-    "sex",
-    "race",
-    "systolic_bp",
-    "total_chol",
-    "hdl_chol",
-    "smoker",
-    "diabetes",
-    "bp_treated",
-    "model_version",
-    "threshold",
-    "raw_risk",
-    "shifted_risk",
-    "treatment",
-    "outcome",
-    "baseline_risk",
-)
+
+@dataclass
+class LoggedTrial:
+    """Arrays re-read from a trial.csv, sufficient for offline re-estimation.
+
+    Each array field is one column of the file, under the field's name.
+    """
+
+    covariates: CohortTable
+    model_version: np.ndarray
+    threshold: np.ndarray
+    raw_risk: np.ndarray
+    shifted_risk: np.ndarray
+    treatment: np.ndarray
+    outcome: np.ndarray
+    baseline_risk: np.ndarray
+
+    @property
+    def column_pairs(self) -> list:
+        return list(zip(self.model_version.tolist(), self.threshold.tolist()))
+
+
+_ARRAY_COLUMNS = tuple(f.name for f in fields(LoggedTrial) if f.name != "covariates")
+_KINDS = {name: int if name in ("model_version", "treatment") else float for name in _ARRAY_COLUMNS}
+TRIAL_COLUMNS = ("index", *CSV_COLUMNS, *_ARRAY_COLUMNS)
 
 CURVE_COLUMNS = (
     "r",
@@ -55,56 +71,17 @@ CURVE_COLUMNS = (
     "eff_n_untreated",
 )
 
-
-def _f(x) -> str:
-    return repr(float(x))
-
-
-def _floats(values) -> list:
-    """Python floats, which ``csv`` writes with ``repr``."""
-    return np.asarray(values, dtype=float).tolist()
-
-
-def _ints(values) -> list:
-    return np.asarray(values).astype(int).tolist()
+EVENT_COLUMNS = tuple(f.name for f in fields(AdaptationEvent))
 
 
 def write_trial_csv(trial: TrialData, path) -> None:
-    version, threshold, raw, shifted = trial.matrix.diagonal()
-    columns = (
-        range(1, trial.n + 1),
-        *covariate_columns(trial.covariates),
-        _ints(version),
-        _floats(threshold),
-        _floats(raw),
-        _floats(shifted),
-        _ints(trial.treatment),
-        _floats(trial.outcome),
-        _floats(trial.baseline_risk),
+    logged = LoggedTrial(
+        trial.covariates, *trial.matrix.diagonal(),
+        trial.treatment, trial.outcome, trial.baseline_risk,
     )
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRIAL_COLUMNS)
-        writer.writerows(zip(*columns))
-
-
-class LoggedTrial:
-    """Arrays re-read from a trial.csv, sufficient for offline re-estimation."""
-
-    def __init__(self, covariates, model_version, threshold, raw_risk,
-                 shifted_risk, treatment, outcome, baseline_risk):
-        self.covariates = covariates
-        self.model_version = model_version
-        self.threshold = threshold
-        self.raw_risk = raw_risk
-        self.shifted_risk = shifted_risk
-        self.treatment = treatment
-        self.outcome = outcome
-        self.baseline_risk = baseline_risk
-
-    @property
-    def column_pairs(self) -> list:
-        return list(zip(self.model_version.tolist(), self.threshold.tolist()))
+    arrays = [csv_numbers(getattr(logged, name), _KINDS[name]) for name in _ARRAY_COLUMNS]
+    rows = zip(range(1, trial.n + 1), *covariate_columns(trial.covariates), *arrays)
+    write_csv(path, TRIAL_COLUMNS, rows)
 
 
 def _trial_line(i: int, problem: str) -> str:
@@ -116,50 +93,26 @@ def read_trial_csv(path) -> LoggedTrial:
     columns = read_csv_columns(path, "trial file", TRIAL_COLUMNS, _trial_line)
     if not columns["index"]:
         raise IngestionError("trial file has no data rows")
-
-    def numbers(name: str, kind=float) -> np.ndarray:
-        return parse_numbers(columns[name], kind, name, _trial_line)
-
-    return LoggedTrial(
-        covariates=parse_covariates(columns, _trial_line),
-        model_version=numbers("model_version", int),
-        threshold=numbers("threshold"),
-        raw_risk=numbers("raw_risk"),
-        shifted_risk=numbers("shifted_risk"),
-        treatment=numbers("treatment", int),
-        outcome=numbers("outcome"),
-        baseline_risk=numbers("baseline_risk"),
-    )
+    arrays = {
+        name: parse_numbers(columns[name], _KINDS[name], name, _trial_line)
+        for name in _ARRAY_COLUMNS
+    }
+    return LoggedTrial(parse_covariates(columns, _trial_line), **arrays)
 
 
 def write_events_csv(events: list[AdaptationEvent], path) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "kind", "old", "new", "detail"])
-        for ev in events:
-            writer.writerow([ev.index, ev.kind, _f(ev.old), _f(ev.new), ev.detail])
+    """One row per event; ``old`` and ``new`` (thresholds or model version ids) as floats."""
+    rows = ((ev.index, ev.kind, float(ev.old), float(ev.new), ev.detail) for ev in events)
+    write_csv(path, EVENT_COLUMNS, rows)
 
 
 def write_curve_csv(curve: EffectCurve, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CURVE_COLUMNS)
-        for e in curve.estimates:
-            writer.writerow(
-                [
-                    _f(e.r),
-                    _f(e.beta_hat),
-                    _f(e.se),
-                    _f(e.ci[0]),
-                    _f(e.ci[1]),
-                    _f(e.mu1_hat),
-                    _f(e.mu0_hat),
-                    _f(e.eff_n_treated),
-                    _f(e.eff_n_untreated),
-                ]
-            )
+    rows = (
+        [float(x) for x in (e.r, e.beta_hat, e.se, *e.ci, e.mu1_hat, e.mu0_hat,
+                            e.eff_n_treated, e.eff_n_untreated)]
+        for e in curve.estimates
+    )
+    write_csv(path, CURVE_COLUMNS, rows)
 
 
 def _plain(obj):

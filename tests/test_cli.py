@@ -245,6 +245,14 @@ class TestEstimateReplay:
         assert "grid step 0.04 does not divide" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()  # rejected before the trial ran
 
+    @pytest.mark.parametrize("grid", ["nan:1:0.1", "0:inf:0.1", "0:1:nan"])
+    def test_grid_with_a_non_finite_bound_or_step_exits_2(self, tmp_path, capsys, grid):
+        code = run_cli("simulate", "--config", "scenario2", "--out", str(tmp_path / "run"),
+                       "--grid", grid, *SMALL)
+        assert code == 2
+        assert "grid bounds and step must be finite numbers" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_truncated_trial_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "run"
         run_cli("simulate", "--config", "scenario2", "--out", str(out), *SMALL)
@@ -532,6 +540,9 @@ class TestValidateConfig:
             ("scenario3 threshold_strategy.nnt=NaN",
              "threshold_strategy.nnt must be a finite number, got nan"),
             ("initial_threshold=1" + "0" * 400, "initial_threshold must be a finite number, got 10+$"),
+            # A path is a string; 3 would end in a TypeError when the file is loaded.
+            ("scenario4 coefficients_file=3", "coefficients_file must be a string, got 3"),
+            ('cohort={"source":"csv","path":3}', "cohort.path must be a string, got 3"),
         ],
     )
     def test_values_of_the_wrong_type_exit_2(self, capsys, override, message):

@@ -11,6 +11,10 @@ events log.
 A large matrix file may be formatted in two halves on two processes; both
 that path and the in-process one must give the reference bytes, and neither
 may leave a child process behind, whether it succeeds or fails.
+The events, curve and errors files now share one CSV writer, and the
+evaluation and replication records are serialized from their dataclass
+fields; the per-row writers and the hand-listed dicts they replaced are kept
+here as references too.
 """
 
 import csv
@@ -27,11 +31,26 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adaptrd import rowfile
+from adaptrd.cli import main
 from adaptrd.cohort import RACES, CohortTable
 from adaptrd.errors import ConfigError, IngestionError
-from adaptrd.harness import run_scenario, scenario_preset
+from adaptrd.estimator import default_grid, effect_curve, fit_outcome_surface
+from adaptrd.harness import (
+    METHODS,
+    evaluate_at_final_threshold,
+    run_replications,
+    run_scenario,
+    scenario_preset,
+)
 from adaptrd.risk_engine import CounterfactualRiskMatrix, export_matrix_csv, import_matrix_csv
-from adaptrd.trialio import TRIAL_COLUMNS, read_trial_csv, write_trial_csv
+from adaptrd.trialio import (
+    TRIAL_COLUMNS,
+    read_trial_csv,
+    write_curve_csv,
+    write_events_csv,
+    write_json,
+    write_trial_csv,
+)
 from oracles import trial_columns_from_events
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 0.1, 1.0 - 2.0**-53, float("inf")]
@@ -106,6 +125,63 @@ def reference_write_trial_csv(trial, columns, path):
                 f(raw[k] - threshold[k]), int(trial.treatment[k]), f(trial.outcome[k]),
                 f(trial.baseline_risk[k]),
             ])
+
+
+def reference_write_events_csv(events, path):
+    """The per-row events writer the shared CSV writer replaced."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "kind", "old", "new", "detail"])
+        for ev in events:
+            writer.writerow([ev.index, ev.kind, repr(float(ev.old)), repr(float(ev.new)), ev.detail])
+
+
+def reference_write_curve_csv(curve, path):
+    """The per-row curve writer the shared CSV writer replaced."""
+    f = lambda x: repr(float(x))  # noqa: E731
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["r", "beta_hat", "se", "ci_low", "ci_high", "mu1", "mu0",
+                         "eff_n_treated", "eff_n_untreated"])
+        for e in curve.estimates:
+            writer.writerow([f(e.r), f(e.beta_hat), f(e.se), f(e.ci[0]), f(e.ci[1]),
+                             f(e.mu1_hat), f(e.mu0_hat), f(e.eff_n_treated),
+                             f(e.eff_n_untreated)])
+
+
+def reference_write_errors_csv(report, path):
+    """The per-row errors writer of ``adaptrd replicate`` the shared CSV writer replaced."""
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["rep", "method", "error"])
+        for method, entry in report.per_method.items():
+            for rep, err in zip(entry["reps"], entry["errors"]):
+                writer.writerow([rep, method, repr(float(err))])
+
+
+def reference_evaluation_dict(result):
+    """``EvaluationResult.to_dict`` as it listed each field by hand."""
+    out = {"truth": result.truth, "methods": {}}
+    for name in METHODS:
+        m = result.methods[name]
+        out["methods"][name] = {
+            "estimate": m.estimate, "se": m.se, "ci_low": m.ci_low, "ci_high": m.ci_high,
+            "error": m.error,
+        }
+    return out
+
+
+def reference_report_dict(report):
+    """``ReplicationReport.to_dict`` as it listed each field by hand."""
+    return {
+        "scenario_id": report.scenario_id,
+        "n_replications": report.n_replications,
+        "trial_failures": report.trial_failures,
+        "per_method": report.per_method,
+        "final_thresholds": report.final_thresholds,
+        "treated_fractions": report.treated_fractions,
+        "failure_reasons": report.failure_reasons,
+    }
 
 
 def assert_same_array(got, want):
@@ -257,6 +333,41 @@ def test_trial_file_of_a_run_matches_the_per_row_writer_on_columns_from_the_even
     reference_write_trial_csv(trial, columns, tmp_path / "reference.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
     assert_same_trial(read_trial_csv(tmp_path / "new.csv"), trial, columns)
+
+
+def test_events_and_curve_files_and_evaluation_of_a_run_match_the_per_row_writers(tmp_path):
+    trial = run_scenario(scenario_preset(5, seed=7, n_patients=600))
+    # Model updates log their fit details joined by commas, which csv must quote.
+    assert any("," in ev.detail for ev in trial.events if ev.kind == "model_update")
+    write_events_csv(trial.events, tmp_path / "events.csv")
+    reference_write_events_csv(trial.events, tmp_path / "reference_events.csv")
+    assert b'"' in (tmp_path / "events.csv").read_bytes()
+    assert (tmp_path / "events.csv").read_bytes() == (
+        tmp_path / "reference_events.csv").read_bytes()
+
+    config = trial.config.estimator
+    surface = fit_outcome_surface(trial.matrix, trial.treatment, trial.outcome, config)
+    curve = effect_curve(surface, trial.matrix, default_grid(trial.matrix.focal_shifted), config)
+    assert curve.estimates
+    write_curve_csv(curve, tmp_path / "curve.csv")
+    reference_write_curve_csv(curve, tmp_path / "reference_curve.csv")
+    assert (tmp_path / "curve.csv").read_bytes() == (tmp_path / "reference_curve.csv").read_bytes()
+
+    result = evaluate_at_final_threshold(trial)
+    # repr also compares key order and the type of each value.
+    assert repr(result.to_dict()) == repr(reference_evaluation_dict(result))
+
+
+def test_errors_file_and_report_of_a_batch_match_the_per_row_writer(tmp_path):
+    code = main(["replicate", "--config", "scenario1", "--override", "n_patients=600",
+                 "--seed", "3", "--replications", "4", "--out", str(tmp_path / "run")])
+    assert code == 0
+    report = run_replications(scenario_preset(1, seed=3, n_patients=600), 4)
+    assert repr(report.to_dict()) == repr(reference_report_dict(report))
+    reference_write_errors_csv(report, tmp_path / "errors.csv")
+    write_json(reference_report_dict(report), tmp_path / "report.json")
+    for name in ("errors.csv", "report.json"):
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / name).read_bytes()
 
 
 def _small_trial():

@@ -190,6 +190,15 @@ class TestTrueEffects:
         manual = float(w @ ascvd_prob(baselines, np.ones(3), model.params))
         assert true_smoothed_arm_mean(model, baselines, 1, 0.2, 0.05) == pytest.approx(manual)
 
+    def test_weight_values_that_do_not_align_raise_validation_error(self):
+        model = OutcomeModel("ascvd")
+        baselines = np.array([0.1, 0.2, 0.3])
+        short = np.array([0.0, 0.1])
+        with pytest.raises(ValidationError, match="align"):
+            true_smoothed_ate(model, baselines, 0.0, 0.05, weight_values=short)
+        with pytest.raises(ValidationError, match="align"):
+            true_smoothed_arm_mean(model, baselines, 1, 0.0, 0.05, weight_values=short)
+
 
 def test_variant_param_mismatch_rejected():
     with pytest.raises(ConfigError):
