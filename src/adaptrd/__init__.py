@@ -48,6 +48,7 @@ from .estimator import (
     EffectEstimate,
     EstimatorConfig,
     FittedOutcomeSurface,
+    SurfaceDesign,
     aipw_ate,
     arm_predictions,
     comparator_inputs,

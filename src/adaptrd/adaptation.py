@@ -50,23 +50,34 @@ class FixedThreshold:
     """No threshold update: the trial keeps its ``initial_threshold``."""
 
 
-@dataclass(frozen=True)
-class RateTargetThreshold:
-    target_rate: float
+@dataclass(frozen=True, kw_only=True)
+class UpdateCadence:
+    """When an adaptive strategy updates: after ``warmup`` patients, then
+    every ``update_every``. A strategy that never updates does not inherit it."""
+
     warmup: int = 400
     update_every: int = 100
 
     def __post_init__(self):
-        if not 0.0 < self.target_rate < 1.0:
-            raise ConfigError("target rate must lie in (0, 1)")
-        _check_cadence(self.warmup, self.update_every)
+        if self.warmup < 1:
+            raise ConfigError("warmup must be at least 1")
+        if self.update_every < 1:
+            raise ConfigError("update_every must be at least 1")
 
 
 @dataclass(frozen=True)
-class NntTargetThreshold:
+class RateTargetThreshold(UpdateCadence):
+    target_rate: float
+
+    def __post_init__(self):
+        if not 0.0 < self.target_rate < 1.0:
+            raise ConfigError("target rate must lie in (0, 1)")
+        super().__post_init__()
+
+
+@dataclass(frozen=True)
+class NntTargetThreshold(UpdateCadence):
     nnt: float
-    warmup: int = 400
-    update_every: int = 100
     smoothing: float = 0.5
 
     def __post_init__(self):
@@ -74,7 +85,7 @@ class NntTargetThreshold:
             raise ConfigError("target NNT must exceed 1")
         if not 0.0 <= self.smoothing <= 1.0:
             raise ConfigError("smoothing must lie in [0, 1]")
-        _check_cadence(self.warmup, self.update_every)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -83,13 +94,11 @@ class NoModelUpdate:
 
 
 @dataclass(frozen=True)
-class _ModelUpdate:
-    warmup: int = 400
-    update_every: int = 100
+class _ModelUpdate(UpdateCadence):
     shrink_n0: int = DEFAULT_SHRINK_N0
 
     def __post_init__(self):
-        _check_cadence(self.warmup, self.update_every)
+        super().__post_init__()
         if self.shrink_n0 <= 0:
             raise ConfigError("shrink_n0 must be positive")
 
@@ -100,13 +109,6 @@ class RecalibrateModel(_ModelUpdate):
 
 class ReviseModel(_ModelUpdate):
     """Update by ``revise_model``: a shrunk unstratified refit without race and sex."""
-
-
-def _check_cadence(warmup: int, update_every: int) -> None:
-    if warmup < 1:
-        raise ConfigError("warmup must be at least 1")
-    if update_every < 1:
-        raise ConfigError("update_every must be at least 1")
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,10 @@ from .trialio import (
 )
 
 
+# The most points a --grid may have (0:1:1e-5 has exactly this many).
+MAX_GRID_POINTS = 100_001
+
+
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         lo_s, hi_s, step_s = spec.split(":")
@@ -53,7 +57,10 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ConfigError(f"grid bounds and step must be finite numbers, got {spec!r}")
     if step <= 0 or hi <= lo:
         raise ConfigError("grid needs hi > lo and step > 0")
-    count = int(round((hi - lo) / step)) + 1
+    steps = (hi - lo) / step  # inf if hi - lo overflows
+    if not steps < MAX_GRID_POINTS - 0.5:  # checked before a single point is made
+        raise ConfigError(f"grid {spec!r} has about {steps + 1:g} points, over {MAX_GRID_POINTS}")
+    count = int(round(steps)) + 1
     if not math.isclose((count - 1) * step, hi - lo, rel_tol=1e-9):
         raise ConfigError(f"grid step {step!r} does not divide hi - lo = {hi - lo!r}")
     return np.linspace(lo, hi, count)
@@ -62,7 +69,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 def _load_scenario(args):
     payload = load_config_payload(args.config)
     payload = apply_overrides(payload, args.override or [])
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:  # estimate takes no --seed
         payload["seed"] = args.seed
     return parse_config(payload)
 
@@ -142,9 +149,9 @@ def _cmd_replicate(args) -> int:
 
 def _infer_estimator_config(args, outcomes: np.ndarray) -> EstimatorConfig:
     if args.config:
-        payload = load_config_payload(args.config)
-        payload = apply_overrides(payload, args.override or [])
-        return parse_config(payload).estimator
+        return _load_scenario(args).estimator
+    if args.override:
+        raise ConfigError("--override needs --config: there is no config to override")
     kind = BINARY if np.all(np.isin(outcomes, (0.0, 1.0))) else CONTINUOUS
     return EstimatorConfig(family=FAMILY_BY_KIND[kind])
 
@@ -247,21 +254,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = list(sys.argv[1:] if argv is None else argv)
     # let --grid accept values that begin with a minus sign
-    joined = []
-    skip = False
-    for i, item in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if item == "--grid" and i + 1 < len(argv):
-            joined.append(f"--grid={argv[i + 1]}")
-            skip = True
-        else:
-            joined.append(item)
-    args = parser.parse_args(joined)
+    while "--grid" in argv[:-1]:
+        i = argv.index("--grid")
+        argv[i : i + 2] = [f"--grid={argv[i + 1]}"]
+    args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except (ConfigError, IngestionError) as exc:

@@ -23,6 +23,7 @@ from .adaptation import (
     RateTargetThreshold,
     RecalibrateModel,
     ReviseModel,
+    UpdateCadence,
 )
 from .cohort import SyntheticCohortParams
 from .errors import ConfigError
@@ -61,11 +62,11 @@ class ScenarioConfig:
         if not 0.0 < self.initial_threshold < 1.0:
             raise ConfigError("initial threshold must lie in (0, 1)")
         for key in ("threshold_strategy", "model_strategy"):
-            warmup = getattr(getattr(self, key), "warmup", None)  # None: never updates
-            if warmup is not None and warmup >= self.n_patients:
+            strategy = getattr(self, key)
+            if isinstance(strategy, UpdateCadence) and strategy.warmup >= self.n_patients:
                 raise ConfigError(
                     f"{key}.warmup must be below n_patients={self.n_patients}, "
-                    f"got {warmup}: the strategy would never update"
+                    f"got {strategy.warmup}: the strategy would never update"
                 )
         variant = _SCENARIO_VARIANTS[self.scenario_id]
         if self.outcome.variant != variant:
@@ -207,6 +208,13 @@ def _outcome(payload: dict) -> OutcomeModel:
     return OutcomeModel(variant, params)
 
 
+def _top_level(payload: dict, cls, keys: tuple) -> dict:
+    """The ``keys`` that ``payload`` sets, each read as ``cls``'s field of that name;
+    an absent key is left out, so it takes ``cls``'s default."""
+    types = _field_types(cls)
+    return {key: _value(types[key], payload[key], key) for key in keys if key in payload}
+
+
 def parse_config(payload: dict) -> ScenarioConfig:
     """Build a validated ScenarioConfig from a JSON document."""
     if not isinstance(payload, dict):
@@ -214,10 +222,7 @@ def parse_config(payload: dict) -> ScenarioConfig:
     _require_keys(payload, _TOP_KEYS, "config")
     scenario = _number(_get(payload, "scenario", "config"), "scenario", int)
     # The top-level cadence is only the default of each adaptive strategy's.
-    cadence = {
-        "warmup": _number(payload.get("warmup", 400), "warmup", int),
-        "update_every": _number(payload.get("update_every", 100), "update_every", int),
-    }
+    cadence = _top_level(payload, UpdateCadence, ("warmup", "update_every"))
 
     cohort_payload = payload.get("cohort", {"source": "synthetic"})
     _require_keys(cohort_payload, {"source", "params", "path"}, "cohort")
@@ -239,9 +244,7 @@ def parse_config(payload: dict) -> ScenarioConfig:
 
     return ScenarioConfig(
         scenario_id=scenario,
-        n_patients=_number(payload.get("n_patients", 3000), "n_patients", int),
-        initial_threshold=_number(payload.get("initial_threshold", 0.10), "initial_threshold"),
-        seed=_number(payload.get("seed", 0), "seed", int),
+        **_top_level(payload, ScenarioConfig, ("n_patients", "initial_threshold", "seed")),
         cohort_params=cohort_params,
         cohort_csv=cohort_csv,
         outcome=_outcome(_get(payload, "outcome", "config")),

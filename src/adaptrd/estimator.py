@@ -91,18 +91,49 @@ class EffectEstimate:
     low_support: bool = False
 
 
-@dataclass
-class FittedOutcomeSurface:
-    """Fitted GLM plus every piece of metadata needed to replay its design."""
+@dataclass(frozen=True, eq=False)
+class SurfaceDesign:
+    """What the surface's design is built from: fitted once, replayed on any matrix.
 
-    fit: GlmFit
-    basis_untreated: SplineBasis
-    basis_treated: SplineBasis
+    The focal column's shifted risks enter through per-arm natural cubic
+    splines. Each non-focal version enters through its first distinct column,
+    residualized on the focal one, and the residuals through the retained
+    principal components.
+    """
+
+    focal_column: int
+    nonfocal_columns: tuple[int, ...]  # each non-focal version's first distinct column
     resid_intercepts: np.ndarray  # per non-focal model version
     resid_slopes: np.ndarray
-    nonfocal_columns: tuple[int, ...]  # each non-focal version's first distinct column
     pca_result: PcaResult
-    focal_column: int
+    basis_untreated: SplineBasis
+    basis_treated: SplineBasis
+
+    def terms(self, matrix: CounterfactualRiskMatrix) -> tuple[np.ndarray, ...]:
+        """(focal risks, untreated basis, treated basis, PC scores) of every patient."""
+        if matrix.n_distinct <= max((*self.nonfocal_columns, self.focal_column)):
+            raise ValidationError("matrix does not match the surface's version structure")
+        # shifted_column returns a new array, so a curve that computes its
+        # estimates later cannot see an edit of the matrix.
+        focal = matrix.shifted_column(self.focal_column)
+        resid = np.empty((focal.size, len(self.nonfocal_columns)))
+        for i, d in enumerate(self.nonfocal_columns):
+            line = self.resid_intercepts[i] + self.resid_slopes[i] * focal
+            resid[:, i] = matrix.shifted_column(d) - line
+        return (
+            focal,
+            natural_cubic_basis(focal, self.basis_untreated),
+            natural_cubic_basis(focal, self.basis_treated),
+            self.pca_result.transform(resid),
+        )
+
+
+@dataclass
+class FittedOutcomeSurface:
+    """Fitted GLM, the design it was fitted on, and the logged treatments."""
+
+    fit: GlmFit
+    design: SurfaceDesign
     treatments: np.ndarray
 
 
@@ -124,29 +155,9 @@ def arm_predictions(
     surface: FittedOutcomeSurface, matrix: CounterfactualRiskMatrix
 ) -> ArmPredictions:
     """Evaluate the surface on ``matrix`` with every patient forced to each arm."""
-    if matrix.n_distinct <= max((*surface.nonfocal_columns, surface.focal_column)):
-        raise ValidationError("matrix does not match the surface's version structure")
-    n = matrix.n_patients
-    # shifted_column returns a new array, so a curve that computes its
-    # estimates later cannot see an edit of the matrix.
-    focal = matrix.shifted_column(surface.focal_column)
-    if surface.nonfocal_columns:
-        resid = np.column_stack(
-            [
-                matrix.shifted_column(d)
-                - (surface.resid_intercepts[i] + surface.resid_slopes[i] * focal)
-                for i, d in enumerate(surface.nonfocal_columns)
-            ]
-        )
-        scores = surface.pca_result.transform(resid)
-    else:
-        scores = np.empty((n, 0))
-    bases = (
-        natural_cubic_basis(focal, surface.basis_untreated),
-        natural_cubic_basis(focal, surface.basis_treated),
-    )
-    X0 = _build_design(np.zeros(n), *bases, scores)
-    X1 = _build_design(np.ones(n), *bases, scores)
+    focal, *terms = surface.design.terms(matrix)
+    X0 = _build_design(np.zeros(focal.size), *terms)
+    X1 = _build_design(np.ones(focal.size), *terms)
     family = surface.fit.family
     eta0 = X0 @ surface.fit.theta
     eta1 = X1 @ surface.fit.theta
@@ -204,8 +215,7 @@ def fit_outcome_surface(
     if treatments.shape != (n,) or outcomes.shape != (n,):
         raise ValidationError("treatments/outcomes must align with the matrix rows")
     n1 = int(np.sum(treatments == 1))
-    n0 = n - n1
-    _require_arm_sizes(n0, n1)
+    _require_arm_sizes(n - n1, n1)
     focal_col = matrix.focal_index
     focal = matrix.focal_shifted
     if float(focal.max() - focal.min()) <= 1e-12:
@@ -218,37 +228,21 @@ def fit_outcome_surface(
     nonfocal = tuple(
         d for d, v in enumerate(versions) if v != versions[focal_col] and versions.index(v) == d
     )
-    intercepts = np.zeros(len(nonfocal))
-    slopes = np.zeros(len(nonfocal))
-    if nonfocal:
-        resid_cols = []
-        for i, d in enumerate(nonfocal):
-            res = residualize(matrix.shifted_column(d), focal)
-            resid_cols.append(res.residuals)
-            intercepts[i] = res.intercept
-            slopes[i] = res.slope
-        resid_matrix = np.column_stack(resid_cols)
-    else:
-        resid_matrix = np.empty((n, 0))
-    pca_result = pca(resid_matrix, config.pca_variance)
-
-    basis0 = choose_knots(focal[treatments == 0], config.spline_df)
-    basis1 = choose_knots(focal[treatments == 1], config.spline_df)
-    scores = pca_result.transform(resid_matrix)
-    bases = (natural_cubic_basis(focal, basis0), natural_cubic_basis(focal, basis1))
-    design = _build_design(treatments.astype(float), *bases, scores)
-    fit = fit_glm(GlmSpec(family=config.family, design=design, response=outcomes))
-    return FittedOutcomeSurface(
-        fit=fit,
-        basis_untreated=basis0,
-        basis_treated=basis1,
-        resid_intercepts=intercepts,
-        resid_slopes=slopes,
-        nonfocal_columns=nonfocal,
-        pca_result=pca_result,
+    fits = [residualize(matrix.shifted_column(d), focal) for d in nonfocal]
+    resid = np.column_stack([f.residuals for f in fits]) if fits else np.empty((n, 0))
+    design = SurfaceDesign(
         focal_column=focal_col,
-        treatments=treatments.astype(int),
+        nonfocal_columns=nonfocal,
+        resid_intercepts=np.array([f.intercept for f in fits]),
+        resid_slopes=np.array([f.slope for f in fits]),
+        pca_result=pca(resid, config.pca_variance),
+        basis_untreated=choose_knots(focal[treatments == 0], config.spline_df),
+        basis_treated=choose_knots(focal[treatments == 1], config.spline_df),
     )
+    _, *terms = design.terms(matrix)
+    X = _build_design(treatments.astype(float), *terms)
+    fit = fit_glm(GlmSpec(family=config.family, design=X, response=outcomes))
+    return FittedOutcomeSurface(fit=fit, design=design, treatments=treatments.astype(int))
 
 
 def _effect_gradient(preds: ArmPredictions, weights: np.ndarray) -> np.ndarray:

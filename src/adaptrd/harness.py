@@ -13,6 +13,7 @@ bias, MSE and interval coverage per estimator.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import multiprocessing
 from collections import Counter
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ from .adaptation import (
     NntTargetThreshold,
     RateTargetThreshold,
     RecalibrateModel,
+    UpdateCadence,
     cohens_d_curve,
     nnt_to_cohens_d,
     pooled_outcome_sd,
@@ -36,6 +38,7 @@ from .cohort import CohortTable, load_cohort_csv
 from .config import ScenarioConfig, parse_config, preset_payload
 from .errors import AdaptRdError, ConfigError
 from .estimator import (
+    EffectEstimate,
     aipw_ate,
     comparator_inputs,
     default_grid,
@@ -132,7 +135,7 @@ def _update_indices(config: ScenarioConfig) -> tuple[set[int], set[int]]:
     """Indices (1-based, after that patient completes) at which each strategy fires."""
 
     def fires(strategy) -> set[int]:
-        if getattr(strategy, "warmup", None) is None:  # a strategy that never updates
+        if not isinstance(strategy, UpdateCadence):  # a strategy that never updates
             return set()
         return set(range(strategy.warmup, config.n_patients, strategy.update_every))
 
@@ -324,57 +327,47 @@ class EvaluationResult:
         return dataclasses.asdict(self)
 
 
+def _method_result(step) -> MethodResult:
+    """What ``step()`` estimates, with its SE and interval if it has them, or its error."""
+    try:
+        value = step()
+    except AdaptRdError as exc:
+        return MethodResult(error=str(exc))
+    if isinstance(value, EffectEstimate):
+        return MethodResult(value.beta_hat, value.se, *value.ci)
+    return MethodResult(estimate=value)
+
+
 def evaluate_at_final_threshold(trial: TrialData) -> EvaluationResult:
     """All five estimators plus the DGP truth at r = 0 (the final threshold)."""
     config = trial.config
     est_cfg = config.estimator
     focal = trial.matrix.focal_shifted
     truth = true_smoothed_ate(
-        config.outcome,
-        trial.baseline_risk,
-        0.0,
-        est_cfg.bandwidth,
-        weight_values=focal,
+        config.outcome, trial.baseline_risk, 0.0, est_cfg.bandwidth, weight_values=focal
     )
-    methods: dict[str, MethodResult] = {}
 
-    try:
+    def adaptive_rd():
         surface = fit_outcome_surface(trial.matrix, trial.treatment, trial.outcome, est_cfg)
-        est = estimate_effect(surface, trial.matrix, 0.0, est_cfg)
-        methods["adaptive_rd"] = MethodResult(
-            estimate=est.beta_hat, se=est.se, ci_low=est.ci[0], ci_high=est.ci[1]
-        )
-    except AdaptRdError as exc:
-        methods["adaptive_rd"] = MethodResult(error=str(exc))
-
-    try:
-        methods["naive"] = MethodResult(estimate=naive_diff(trial.outcome, trial.treatment))
-    except AdaptRdError as exc:
-        methods["naive"] = MethodResult(error=str(exc))
+        return estimate_effect(surface, trial.matrix, 0.0, est_cfg)
 
     # The comparators share one outcome fit, one propensity fit and one
-    # kernel row; a failure to build their inputs is each one's error.
-    try:
-        inputs = comparator_inputs(
+    # kernel row. Their inputs are built on the first comparator's call; a
+    # build that fails is not kept, so each comparator retries it and
+    # reports the same error.
+    inputs = functools.cache(
+        lambda: comparator_inputs(
             trial.covariates, trial.treatment, trial.outcome, focal, 0.0, est_cfg
         )
-        build_error = None
-    except AdaptRdError as exc:
-        build_error = str(exc)
-    for name, fn in (
-        ("outcome_regression", outcome_regression_ate),
-        ("ipw", ipw_ate),
-        ("aipw", aipw_ate),
-    ):
-        if build_error is not None:
-            methods[name] = MethodResult(error=build_error)
-            continue
-        try:
-            methods[name] = MethodResult(estimate=fn(inputs))
-        except AdaptRdError as exc:
-            methods[name] = MethodResult(error=str(exc))
-
-    return EvaluationResult(truth=truth, methods=methods)
+    )
+    steps = {
+        "adaptive_rd": adaptive_rd,
+        "naive": lambda: naive_diff(trial.outcome, trial.treatment),
+        "outcome_regression": lambda: outcome_regression_ate(inputs()),
+        "ipw": lambda: ipw_ate(inputs()),
+        "aipw": lambda: aipw_ate(inputs()),
+    }
+    return EvaluationResult(truth, {name: _method_result(steps[name]) for name in METHODS})
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +403,6 @@ def _run_one_replication(config: ScenarioConfig, rep: int) -> dict:
     return out
 
 
-def _replication_worker(args) -> dict:
-    config, rep = args
-    return _run_one_replication(config, rep)
-
-
 ERROR_QUANTILES = (0.025, 0.25, 0.5, 0.75, 0.975)
 
 
@@ -426,12 +414,14 @@ def run_replications(config: ScenarioConfig, count: int, workers: int = 1) -> Re
     """
     if count < 1:
         raise ConfigError("replication count must be >= 1")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     tasks = [(config, rep) for rep in range(count)]
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_replication_worker, tasks)
+            results = pool.starmap(_run_one_replication, tasks)
     else:
-        results = [_replication_worker(t) for t in tasks]
+        results = [_run_one_replication(*task) for task in tasks]
 
     ok = [r for r in results if "failed" not in r]
     reasons = {"trial": Counter(r["failed"] for r in results if "failed" in r)}

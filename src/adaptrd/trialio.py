@@ -115,24 +115,8 @@ def write_curve_csv(curve: EffectCurve, path) -> None:
     write_csv(path, CURVE_COLUMNS, rows)
 
 
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays so json can serialize them."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    return obj
-
-
 def write_json(payload: dict, path) -> None:
+    """``payload`` as sorted, indented JSON; it must hold only plain Python values."""
     path = Path(path)
-    text = json.dumps(_plain(payload), sort_keys=True, indent=2)
+    text = json.dumps(payload, sort_keys=True, indent=2)
     path.write_text(text + "\n", encoding="utf-8")

@@ -130,7 +130,7 @@ def pce_risk(lp: float, s0: float, lp_bar: float) -> float:
 
 
 def dense_design_reference(shifted, focal_index, treatments, outcomes, config, r):
-    """Outcome-surface fit and effect at ``r`` on the dense n x D design.
+    """Outcome-surface fit, effect at ``r`` and both arms' designs on the dense n x D design.
 
     ``shifted`` holds one column per distinct (model version, threshold)
     pair. Every non-focal column is residualized on the focal one and the
@@ -195,7 +195,7 @@ def dense_design_reference(shifted, focal_index, treatments, outcomes, config, r
         eff_n_untreated=eff_n0,
         low_support=min(eff_n0, eff_n1) < config.min_effective,
     )
-    return fit, estimate
+    return fit, estimate, X0, X1
 
 
 def trial_columns_from_events(trial):

@@ -15,7 +15,7 @@ from adaptrd.adaptation import (
     RecalibrateModel,
     ReviseModel,
 )
-from adaptrd.cli import main
+from adaptrd.cli import MAX_GRID_POINTS, _parse_grid, main
 from adaptrd.cohort import SyntheticCohortParams, TruncatedNormal
 from adaptrd.config import PRESET_NAMES, apply_overrides, load_config_payload, parse_config
 from adaptrd.errors import ConfigError
@@ -253,6 +253,25 @@ class TestEstimateReplay:
         assert "grid bounds and step must be finite numbers" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("grid, count", [("0:1:1e-300", "1e+300"), ("0:1:1e-7", "1e+07")])
+    def test_grid_with_too_many_points_is_rejected_before_it_is_built(self, grid, count):
+        with pytest.raises(ConfigError, match=f"has about {re.escape(count)} points, over"):
+            _parse_grid(grid)
+
+    def test_finest_grid_within_the_bound_is_built(self):
+        assert _parse_grid("0:1:1e-5").size == MAX_GRID_POINTS
+
+    @pytest.mark.parametrize("override", ["estimator.bandwidth=0.05", "bogus=1"])
+    def test_override_without_config_exits_2(self, tmp_path, capsys, override):
+        out = tmp_path / "run"
+        run_cli("simulate", "--config", "scenario2", "--out", str(out), *SMALL)
+        code = run_cli("estimate", "--trial", str(out / "trial.csv"),
+                       "--matrix", str(out / "matrix.csv"), "--override", override,
+                       "--out", str(tmp_path / "z"))
+        assert code == 2
+        assert "--override needs --config" in capsys.readouterr().err
+        assert not (tmp_path / "z").exists()
+
     def test_truncated_trial_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "run"
         run_cli("simulate", "--config", "scenario2", "--out", str(out), *SMALL)
@@ -408,6 +427,13 @@ class TestReplicate:
             assert sum(reasons[method].values()) == entry["failures"]
         assert reasons["aipw"]["too few treated patients: need at least 10 per arm"] >= 1
         assert any("did not converge" in message for message in reasons["ipw"])
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, tmp_path, capsys, workers):
+        code = run_cli("replicate", "--config", "scenario2", "--out", str(tmp_path / "r"),
+                       "--replications", "2", "--workers", workers, *SMALL)
+        assert code == 2
+        assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
 
     def test_boxplot_svg(self, tmp_path):
         out = tmp_path / "r"

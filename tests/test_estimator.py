@@ -93,8 +93,8 @@ class TestFitSurface:
     def test_static_matrix_retains_zero_components(self):
         matrix, treatments, outcomes = simulated_static_trial()
         surface = fit_outcome_surface(matrix, treatments, outcomes, EstimatorConfig())
-        assert surface.pca_result.retained == 0
-        assert surface.nonfocal_columns == ()
+        assert surface.design.pca_result.retained == 0
+        assert surface.design.nonfocal_columns == ()
         # design reduces to intercept + per-arm splines + arm indicator
         assert surface.fit.theta.shape == (2 + 2 * 2,)
 
@@ -105,7 +105,7 @@ class TestFitSurface:
         treatments[:10] = 1 - treatments[:10]  # ensure both arms everywhere
         outcomes = rng.standard_normal(len(table))
         surface = fit_outcome_surface(matrix, treatments, outcomes, EstimatorConfig())
-        assert surface.pca_result.retained == 0
+        assert surface.design.pca_result.retained == 0
 
     def test_exact_fit_for_linear_gaussian_outcomes(self):
         matrix, treatments, outcomes = simulated_static_trial(sigma=0.0)
@@ -181,7 +181,7 @@ class TestPredictArmMeans:
                 [1.0],
                 np.asarray(
                     __import__("adaptrd.numerics", fromlist=["natural_cubic_basis"])
-                    .natural_cubic_basis(matrix.focal_shifted[k - 1 : k], surface.basis_treated)
+                    .natural_cubic_basis(matrix.focal_shifted[k - 1 : k], surface.design.basis_treated)
                 ).ravel(),
             ]
         )
@@ -686,12 +686,16 @@ class TestDenseDesignEquivalence:
         config = EstimatorConfig(family=family, pca_variance=pca_variance, bandwidth=0.05)
         surface = fit_outcome_surface(matrix, treatments, outcomes, config)
         dense = matrix.raw[:, matrix.version_index] - matrix.thresholds[None, :]
-        fit, estimate = dense_design_reference(
+        fit, estimate, X0, X1 = dense_design_reference(
             dense, matrix.focal_index, treatments, outcomes, config, r
         )
         assert surface.fit.theta.tobytes() == fit.theta.tobytes()
         assert surface.fit.cov.tobytes() == fit.cov.tobytes()
         assert estimate_effect(surface, matrix, r, config) == estimate
+        # The designs replayed on the matrix are the dense ones, bit for bit.
+        preds = arm_predictions(surface, matrix)
+        assert preds.X0.shape == X0.shape and preds.X0.tobytes() == X0.tobytes()
+        assert preds.X1.shape == X1.shape and preds.X1.tobytes() == X1.tobytes()
 
 
 def test_nonfocal_version_counts_once_whatever_its_thresholds():
@@ -710,8 +714,8 @@ def test_nonfocal_version_counts_once_whatever_its_thresholds():
     assert np.array_equal(dropped.focal_shifted, matrix.focal_shifted)
     full = fit_outcome_surface(matrix, treatments, outcomes, config)
     fewer = fit_outcome_surface(dropped, treatments, outcomes, config)
-    assert full.nonfocal_columns == (0, 3) and fewer.nonfocal_columns == (0, 1)
-    assert full.pca_result.retained == 1
+    assert full.design.nonfocal_columns == (0, 3) and fewer.design.nonfocal_columns == (0, 1)
+    assert full.design.pca_result.retained == 1
     assert full.fit.theta.tobytes() == fewer.fit.theta.tobytes()
     assert full.fit.cov.tobytes() == fewer.fit.cov.tobytes()
     estimate = estimate_effect(full, matrix, 0.0, config)
@@ -719,7 +723,7 @@ def test_nonfocal_version_counts_once_whatever_its_thresholds():
     # The dense design residualized every column, which weighted version 0
     # three times and moved the retained component.
     dense = matrix.raw[:, matrix.version_index] - matrix.thresholds[None, :]
-    _, weighted = dense_design_reference(dense, 4, treatments, outcomes, config, 0.0)
+    _, weighted, _, _ = dense_design_reference(dense, 4, treatments, outcomes, config, 0.0)
     assert abs(weighted.beta_hat - estimate.beta_hat) > 1e-3
 
 

@@ -534,6 +534,19 @@ class TestReplications:
         assert report.failure_reasons["trial"] == {f"cohort file not found: {missing}": 2}
         assert all(report.failure_reasons[name] == {} for name in METHODS)
 
+    @pytest.mark.parametrize(
+        "count, workers, message",
+        [
+            (0, 1, "replication count must be >= 1"),
+            (2, 0, "workers must be >= 1, got 0"),
+            (2, -3, "workers must be >= 1, got -3"),
+        ],
+    )
+    def test_count_or_workers_below_one_raise_config_error(self, count, workers, message):
+        # Raised before any trial runs or any pool starts.
+        with pytest.raises(ConfigError, match=message):
+            run_replications(small_preset(2, n=700, seed=19), count, workers=workers)
+
     def test_worker_count_invariance(self):
         cfg = small_preset(2, n=700, seed=19)
         r1 = run_replications(cfg, 4, workers=1)
