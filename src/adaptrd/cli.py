@@ -87,7 +87,7 @@ def _cmd_simulate(args) -> int:
     surface = fit_outcome_surface(trial.matrix, trial.treatment, trial.outcome, config.estimator)
     if grid is None:
         grid = default_grid(trial.matrix.focal_shifted)
-    curve = effect_curve(surface, trial.matrix, grid, config.estimator)
+    curve = effect_curve(surface, None, grid, config.estimator)  # on the fitted rows
     write_curve_csv(curve, out / "curve.csv")
 
     evaluation = evaluate_at_final_threshold(trial)
@@ -122,9 +122,9 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_replicate(args) -> int:
     config = _load_scenario(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     report = run_replications(config, args.replications, workers=args.workers)
+    out = Path(args.out)  # made once the batch has run, so a rejected one leaves none
+    out.mkdir(parents=True, exist_ok=True)
     write_json(report.to_dict(), out / "report.json")
 
     rows = (
@@ -181,7 +181,7 @@ def _cmd_estimate(args) -> int:
     surface = fit_outcome_surface(matrix, logged.treatment, logged.outcome, config)
     if grid is None:
         grid = default_grid(matrix.focal_shifted)
-    curve = effect_curve(surface, matrix, grid, config)
+    curve = effect_curve(surface, None, grid, config)  # on the fitted rows
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_curve_csv(curve, out / "curve.csv")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -130,11 +131,18 @@ class SurfaceDesign:
 
 @dataclass
 class FittedOutcomeSurface:
-    """Fitted GLM, the design it was fitted on, and the logged treatments."""
+    """Fitted GLM, the design it was fitted on, and the logged treatments.
+
+    ``terms`` are the design's terms on the fitted rows, as
+    ``SurfaceDesign.terms`` returned them during the fit and marked
+    read-only; an evaluation given ``matrix=None`` reads them instead of
+    rebuilding them.
+    """
 
     fit: GlmFit
     design: SurfaceDesign
     treatments: np.ndarray
+    terms: tuple[np.ndarray, ...] = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -152,10 +160,13 @@ class ArmPredictions:
 
 
 def arm_predictions(
-    surface: FittedOutcomeSurface, matrix: CounterfactualRiskMatrix
+    surface: FittedOutcomeSurface, matrix: Optional[CounterfactualRiskMatrix]
 ) -> ArmPredictions:
-    """Evaluate the surface on ``matrix`` with every patient forced to each arm."""
-    focal, *terms = surface.design.terms(matrix)
+    """Evaluate the surface on ``matrix`` with every patient forced to each arm.
+
+    ``matrix=None`` evaluates on the rows the surface was fitted on.
+    """
+    focal, *terms = surface.terms if matrix is None else surface.design.terms(matrix)
     X0 = _build_design(np.zeros(focal.size), *terms)
     X1 = _build_design(np.ones(focal.size), *terms)
     family = surface.fit.family
@@ -239,10 +250,12 @@ def fit_outcome_surface(
         basis_untreated=choose_knots(focal[treatments == 0], config.spline_df),
         basis_treated=choose_knots(focal[treatments == 1], config.spline_df),
     )
-    _, *terms = design.terms(matrix)
-    X = _build_design(treatments.astype(float), *terms)
+    terms = design.terms(matrix)
+    for values in terms:
+        values.flags.writeable = False
+    X = _build_design(treatments.astype(float), *terms[1:])
     fit = fit_glm(GlmSpec(family=config.family, design=X, response=outcomes))
-    return FittedOutcomeSurface(fit=fit, design=design, treatments=treatments.astype(int))
+    return FittedOutcomeSurface(fit, design, treatments.astype(int), terms)
 
 
 def _effect_gradient(preds: ArmPredictions, weights: np.ndarray) -> np.ndarray:
@@ -289,11 +302,14 @@ def _effect_at(
 
 def estimate_effect(
     surface: FittedOutcomeSurface,
-    matrix: CounterfactualRiskMatrix,
+    matrix: Optional[CounterfactualRiskMatrix],
     r: float,
     config: EstimatorConfig,
 ) -> EffectEstimate:
-    """Kernel-weighted local effect and arm means at shifted risk ``r``."""
+    """Kernel-weighted local effect and arm means at shifted risk ``r``.
+
+    ``matrix=None`` evaluates on the rows the surface was fitted on.
+    """
     z = normal_quantile(0.5 + config.confidence / 2.0)
     preds = arm_predictions(surface, matrix)
     weights = gaussian_kernel_weights(preds.focal, r, config.bandwidth)
@@ -345,24 +361,28 @@ class EffectCurve:
 
 def effect_curve(
     surface: FittedOutcomeSurface,
-    matrix: CounterfactualRiskMatrix,
+    matrix: Optional[CounterfactualRiskMatrix],
     grid: np.ndarray,
     config: EstimatorConfig,
 ) -> EffectCurve:
-    """Evaluate the effect across a grid; unsupported points are reported."""
+    """Evaluate the effect across a grid; unsupported points are reported.
+
+    ``matrix=None`` evaluates on the rows the surface was fitted on.
+    """
     preds = arm_predictions(surface, matrix)
     rs = []
     betas = []
     skipped = []
     for chunk, rows in _kernel_chunks(preds.focal, np.asarray(grid, dtype=float), config.bandwidth):
         rs.append(chunk[rows.supported])
-        # One dot per row: a single matrix-vector product over the block
-        # would sum in another order and move the last bits.
-        betas.extend(float(weights @ preds.effect) for weights in rows.weights)
+        # A stack of (1, m) by (m,) products takes the same dot per row as
+        # ``weights @ effect``; a single matrix-vector product over the
+        # block would sum in another order and move the last bits.
+        betas.append((rows.weights[:, None, :] @ preds.effect)[:, 0])
         skipped.extend(rows.skipped)
     return EffectCurve(
         r=np.concatenate(rs) if rs else np.empty(0),
-        beta=np.asarray(betas, dtype=float),
+        beta=np.concatenate(betas) if betas else np.empty(0),
         skipped=skipped,
         surface=surface,
         preds=preds,

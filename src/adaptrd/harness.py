@@ -258,7 +258,7 @@ def _nnt_threshold(
     matrix = build_counterfactual_matrix(history, scored)  # the m patients so far
     surface = fit_outcome_surface(matrix, treatment[:m], outcome[:m], config.estimator)
     grid = default_grid(matrix.focal_shifted, 101)
-    curve = effect_curve(surface, matrix, grid, config.estimator)
+    curve = effect_curve(surface, None, grid, config.estimator)  # on the fitted rows
     if not curve.r.size:
         raise ConfigError("effect curve has no supported grid points")
     sd = pooled_outcome_sd(outcome[:m], treatment[:m])
@@ -349,7 +349,7 @@ def evaluate_at_final_threshold(trial: TrialData) -> EvaluationResult:
 
     def adaptive_rd():
         surface = fit_outcome_surface(trial.matrix, trial.treatment, trial.outcome, est_cfg)
-        return estimate_effect(surface, trial.matrix, 0.0, est_cfg)
+        return estimate_effect(surface, None, 0.0, est_cfg)  # on the fitted rows
 
     # The comparators share one outcome fit, one propensity fit and one
     # kernel row. Their inputs are built on the first comparator's call; a

@@ -157,42 +157,48 @@ def _solve_information(info: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 def fit_glm(spec: GlmSpec) -> GlmFit:
     """Maximum-likelihood GLM fit via IRLS.
 
-    Converges when the max coefficient step drops below ``STEP_TOL`` or the
+    A Gaussian fit is one weighted least-squares solve, reported with
+    ``iterations == 1``: under the identity link and constant variance the
+    working weights and response do not depend on the linear predictor, so
+    the first IRLS step is the maximum-likelihood fit. A Bernoulli fit
+    converges when the max coefficient step drops below ``STEP_TOL`` or the
     relative deviance change drops below ``DEVIANCE_TOL``. Raises
     NonConvergenceError (carrying the last iterate) after ``MAX_ITER``
-    iterations and RankDeficiencyError if the weighted information stays
-    singular after a ridge jitter.
+    iterations or, for a Gaussian fit, when the solve overflows; raises
+    RankDeficiencyError if the weighted information stays singular after a
+    ridge jitter.
     """
     X = spec.design
     y = spec.response
     n, p = X.shape
     w = spec.weights if spec.weights is not None else np.ones(n)
 
-    # Standard starting value: nudge binary responses toward 0.5.
-    if spec.family == GAUSSIAN:
-        eta = np.full(n, float(np.average(y, weights=w)) if np.any(w > 0) else 0.0)
-    else:
-        eta = link_function((y + 0.5) / 2.0, spec.family)
+    def weighted_solve(irls_w, z):
+        Xw = X * irls_w[:, None]
+        info = X.T @ Xw
+        return _solve_information(info, Xw.T @ z), info
 
+    if spec.family == GAUSSIAN:
+        theta, info = weighted_solve(w, y)
+        eta = X @ theta
+        dev = _deviance(y, eta, w, spec.family)
+        if np.all(np.isfinite(theta)):
+            return _finalize_fit(spec, theta, info, dev, True, 1, eta)
+        last = _finalize_fit(spec, theta, info, dev, False, 1, eta)
+        raise NonConvergenceError(
+            f"least-squares solve overflowed (family={spec.family})", last_fit=last
+        )
+
+    def irls_step(eta, mu):
+        dmu = np.clip(inverse_link_deriv(eta, spec.family), _MU_EPS, None)
+        var = np.clip(mu * (1.0 - mu), _MU_EPS, None)
+        return weighted_solve(w * dmu * dmu / var, eta + (y - mu) / dmu)
+
+    # Standard starting value: nudge binary responses toward 0.5.
+    eta = link_function((y + 0.5) / 2.0, spec.family)
     theta = np.zeros(p)
     dev = np.inf
     info = np.eye(p)
-
-    def irls_step(eta, mu):
-        dmu = inverse_link_deriv(eta, spec.family)
-        if spec.family == GAUSSIAN:
-            irls_w = w
-            z = y
-        else:
-            var = np.clip(mu * (1.0 - mu), _MU_EPS, None)
-            dmu = np.clip(dmu, _MU_EPS, None)
-            irls_w = w * dmu * dmu / var
-            z = eta + (y - mu) / dmu
-        Xw = X * irls_w[:, None]
-        info = X.T @ Xw
-        theta_new = _solve_information(info, Xw.T @ z)
-        return theta_new, info
-
     mu = inverse_link(eta, spec.family)
     for it in range(1, MAX_ITER + 1):
         theta_new, info = irls_step(eta, mu)

@@ -11,9 +11,11 @@ a trial's events log and the package's risk scoring, without the
 counterfactual matrix. The earlier formulas are the package's previous
 code for the kernel weights at one centre, the default grid, the knot
 choice and the spline basis, kept verbatim as bitwise references for their
-rewrites. The last section keeps the three regression-based comparators as
-they were when each fitted its own models, verbatim, as bitwise references
-for the shared ``ComparatorInputs``.
+rewrites. The next section keeps the three regression-based comparators
+as they were when each fitted its own models, verbatim, as bitwise
+references for the shared ``ComparatorInputs``. The last keeps the IRLS
+loop that every GLM family, Gaussian included, once ran, as the bitwise
+reference for the one-solve Gaussian fit.
 """
 
 import math
@@ -408,3 +410,78 @@ def aipw_ate_reference(
     influence = m1 - m0 + a * (outcomes - m1) / e - (1.0 - a) * (outcomes - m0) / (1.0 - e)
     weights = gaussian_kernel_weights(focal_risks, r, config.bandwidth)
     return float(weights @ influence)
+
+
+# The GLM fit as it was when every family, Gaussian included, ran the IRLS
+# loop: kept verbatim as the bitwise reference for the one-solve Gaussian fit.
+
+from adaptrd.errors import NonConvergenceError  # noqa: E402
+from adaptrd.numerics import (  # noqa: E402
+    DEVIANCE_TOL,
+    GAUSSIAN,
+    MAX_ITER,
+    STEP_TOL,
+    _MU_EPS,
+    _deviance,
+    _finalize_fit,
+    _solve_information,
+    inverse_link_deriv,
+    link_function,
+)
+
+
+def irls_fit_reference(spec: GlmSpec):
+    """Maximum-likelihood GLM fit via the IRLS loop, for every family."""
+    X = spec.design
+    y = spec.response
+    n, p = X.shape
+    w = spec.weights if spec.weights is not None else np.ones(n)
+
+    # Standard starting value: nudge binary responses toward 0.5.
+    if spec.family == GAUSSIAN:
+        eta = np.full(n, float(np.average(y, weights=w)) if np.any(w > 0) else 0.0)
+    else:
+        eta = link_function((y + 0.5) / 2.0, spec.family)
+
+    theta = np.zeros(p)
+    dev = np.inf
+    info = np.eye(p)
+
+    def irls_step(eta, mu):
+        dmu = inverse_link_deriv(eta, spec.family)
+        if spec.family == GAUSSIAN:
+            irls_w = w
+            z = y
+        else:
+            var = np.clip(mu * (1.0 - mu), _MU_EPS, None)
+            dmu = np.clip(dmu, _MU_EPS, None)
+            irls_w = w * dmu * dmu / var
+            z = eta + (y - mu) / dmu
+        Xw = X * irls_w[:, None]
+        info = X.T @ Xw
+        theta_new = _solve_information(info, Xw.T @ z)
+        return theta_new, info
+
+    mu = inverse_link(eta, spec.family)
+    for it in range(1, MAX_ITER + 1):
+        theta_new, info = irls_step(eta, mu)
+        eta = X @ theta_new
+        mu = inverse_link(eta, spec.family)
+        dev_new = _deviance(y, mu, w, spec.family)
+        step = float(np.max(np.abs(theta_new - theta))) if it > 1 else np.inf
+        rel_dev = abs(dev_new - dev) / (abs(dev) + 1e-300) if np.isfinite(dev) else np.inf
+        theta = theta_new
+        dev = dev_new
+        if step < STEP_TOL or rel_dev < DEVIANCE_TOL:
+            # One polishing solve so the score vanishes at the returned theta
+            # even when the deviance rule fired first.
+            theta, info = irls_step(eta, mu)
+            eta = X @ theta
+            dev = _deviance(y, inverse_link(eta, spec.family), w, spec.family)
+            return _finalize_fit(spec, theta, info, dev, True, it, eta)
+
+    last = _finalize_fit(spec, theta, info, dev, False, MAX_ITER, eta)
+    raise NonConvergenceError(
+        f"IRLS did not converge in {MAX_ITER} iterations (family={spec.family})",
+        last_fit=last,
+    )

@@ -434,6 +434,14 @@ class TestReplicate:
                        "--replications", "2", "--workers", workers, *SMALL)
         assert code == 2
         assert f"workers must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()  # a rejected batch leaves no output directory
+
+    def test_zero_replications_exit_2_without_output_directory(self, tmp_path, capsys):
+        code = run_cli("replicate", "--config", "scenario2", "--out", str(tmp_path / "r"),
+                       "--replications", "0", *SMALL)
+        assert code == 2
+        assert "replication count must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_boxplot_svg(self, tmp_path):
         out = tmp_path / "r"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -725,6 +726,61 @@ def test_nonfocal_version_counts_once_whatever_its_thresholds():
     dense = matrix.raw[:, matrix.version_index] - matrix.thresholds[None, :]
     _, weighted, _, _ = dense_design_reference(dense, 4, treatments, outcomes, config, 0.0)
     assert abs(weighted.beta_hat - estimate.beta_hat) > 1e-3
+
+
+def copy_of(matrix: CounterfactualRiskMatrix) -> CounterfactualRiskMatrix:
+    return CounterfactualRiskMatrix(
+        **{f.name: getattr(matrix, f.name).copy() for f in dataclasses.fields(matrix)}
+    )
+
+
+def curve_bits(curve) -> tuple:
+    """A curve's r, beta, skipped points and full estimates, compared bit for bit."""
+    return curve.r.tobytes(), curve.beta.tobytes(), curve.skipped, repr(curve.estimates)
+
+
+class TestFittedRowsHandoff:
+    """``matrix=None`` evaluates on the terms the fit built, as a copy of its matrix would."""
+
+    GRID = np.linspace(-0.4, 1.2, 33)  # the last points lie beyond the kernel's support
+
+    @pytest.mark.parametrize("family", [GAUSSIAN, LOGIT])
+    @pytest.mark.parametrize("n_versions", [1, 2, 3, 4])
+    def test_equals_evaluation_on_a_copy(self, n_versions, family):
+        versions = list(range(n_versions))
+        thresholds = [0.1 + 0.04 * v for v in versions]
+        matrix, treatments, outcomes = versioned_matrix(40 + n_versions, versions, thresholds)
+        if family == LOGIT:
+            outcomes = (outcomes > 1.0).astype(float)
+        config = EstimatorConfig(family=family, bandwidth=0.05)
+        surface = fit_outcome_surface(matrix, treatments, outcomes, config)
+        handoff = effect_curve(surface, None, self.GRID, config)
+        assert handoff.skipped and handoff.r.size
+        copy = copy_of(matrix)
+        assert curve_bits(handoff) == curve_bits(effect_curve(surface, copy, self.GRID, config))
+        point = estimate_effect(surface, None, 0.0, config)
+        assert repr(point) == repr(estimate_effect(surface, copy, 0.0, config))
+        mine, theirs = arm_predictions(surface, None), arm_predictions(surface, copy)
+        for f in dataclasses.fields(mine):
+            assert getattr(mine, f.name).tobytes() == getattr(theirs, f.name).tobytes(), f.name
+
+        # Editing the matrix after the fit moves evaluations on the matrix
+        # only: the handoff reads the fit's own arrays.
+        matrix.raw *= 0.5
+        assert curve_bits(effect_curve(surface, None, self.GRID, config)) == curve_bits(handoff)
+        edited = effect_curve(surface, matrix, self.GRID, config)
+        fresh = effect_curve(surface, copy_of(matrix), self.GRID, config)
+        assert curve_bits(edited) == curve_bits(fresh)
+        assert curve_bits(edited) != curve_bits(handoff)
+
+    def test_terms_are_read_only(self):
+        matrix, treatments, outcomes = versioned_matrix(7, [0, 1], [0.1, 0.2])
+        surface = fit_outcome_surface(matrix, treatments, outcomes, EstimatorConfig())
+        assert len(surface.terms) == 4 and surface.terms[3].shape[1] == 1
+        for values in surface.terms:
+            assert values.shape[0] == matrix.n_patients
+            with pytest.raises(ValueError, match="read-only"):
+                values[...] = 0.0
 
 
 # Last in the module: these draw from the shared generator, and placing them

@@ -10,6 +10,7 @@ from adaptrd.errors import (
     EffectiveSupportError,
     NonConvergenceError,
     NumericError,
+    RankDeficiencyError,
     ValidationError,
 )
 from adaptrd.numerics import (
@@ -29,6 +30,7 @@ from adaptrd.numerics import (
 )
 from oracles import (
     choose_knots_reference,
+    irls_fit_reference,
     natural_cubic_basis_reference,
     pointwise_kernel_weights,
 )
@@ -139,6 +141,89 @@ class TestGlm:
         assert mean(np.array([0.0]), LOGIT) == pytest.approx(0.5)
         assert mean(np.array([0.0]), CLOGLOG) == pytest.approx(1 - math.exp(-1))
         assert mean(np.array([1.7]), GAUSSIAN) == pytest.approx(1.7)
+
+
+def _gaussian_case(seed, n, p, case):
+    """A Gaussian GlmSpec of the named kind, drawn from ``seed``."""
+    local = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(n), local.standard_normal((n, p - 1))])
+    y = X @ local.standard_normal(p) + local.standard_normal(n)
+    weights = None
+    if case == "zero_weights":
+        weights = local.uniform(0.1, 2.0, size=n) * (local.uniform(size=n) < 0.7)
+    elif case == "jitter":
+        # A column of zeros: the information has a zero pivot, so the first
+        # Cholesky factorization fails and the ridge-jitter retry solves.
+        X = np.column_stack([X, np.zeros(n)])
+    elif case == "collinear":
+        # An exactly dependent column at a large scale: rounding can leave
+        # the information indefinite by more than the jitter.
+        X = 1e3 * np.column_stack([X, X[:, -1] + 0.3 * X[:, 0]])
+    return GlmSpec(GAUSSIAN, X, y, weights=weights)
+
+
+def _fit_outcome(fit, spec):
+    """The fit's theta, cov, deviance and dispersion as bits, or its error."""
+    try:
+        result = fit(spec)
+    except (RankDeficiencyError, np.linalg.LinAlgError) as exc:
+        return type(exc), str(exc)
+    return (
+        result.theta.tobytes(),
+        result.cov.tobytes(),
+        np.float64(result.deviance).tobytes(),
+        np.float64(result.dispersion).tobytes(),
+        result.converged,
+    )
+
+
+class TestOneSolveGaussianFit:
+    """A Gaussian fit is the IRLS loop's answer, bit for bit, from one solve."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(4, 120),
+        p=st.integers(1, 5),
+        case=st.sampled_from(["unit", "zero_weights", "jitter", "collinear"]),
+    )
+    def test_equals_the_irls_loop_bitwise(self, seed, n, p, case):
+        spec = _gaussian_case(seed, max(n, p + 2), p, case)
+        assert _fit_outcome(fit_glm, spec) == _fit_outcome(irls_fit_reference, spec)
+
+    def test_one_solve_reported_as_one_iteration(self):
+        spec = _gaussian_case(1, 50, 3, "zero_weights")
+        assert 0.0 in spec.weights
+        fit = fit_glm(spec)
+        assert fit.converged and fit.iterations == 1
+        assert irls_fit_reference(spec).iterations == 2
+
+    def test_ridge_jitter_retry(self):
+        spec = _gaussian_case(2, 40, 3, "jitter")
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(spec.design.T @ spec.design)
+        fit = fit_glm(spec)
+        assert fit.theta[-1] == 0.0
+        assert _fit_outcome(fit_glm, spec) == _fit_outcome(irls_fit_reference, spec)
+
+    def test_rank_deficiency_raised_by_both(self):
+        raised = 0
+        for seed in range(20):
+            spec = _gaussian_case(seed, 30, 3, "collinear")
+            want = _fit_outcome(irls_fit_reference, spec)
+            assert _fit_outcome(fit_glm, spec) == want
+            raised += want[0] is RankDeficiencyError
+        assert raised > 0
+
+    def test_overflowing_solve_raises_non_convergence(self):
+        spec = GlmSpec(GAUSSIAN, np.full((2, 1), 1e10), np.full(2, 1e300))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonConvergenceError, match="did not converge"):
+                irls_fit_reference(spec)
+            with pytest.raises(NonConvergenceError, match="overflowed") as info:
+                fit_glm(spec)
+        assert not info.value.last_fit.converged
+        assert np.isinf(info.value.last_fit.theta[0])
 
 
 class TestSplines:
