@@ -25,7 +25,7 @@ from .errors import (
     InsufficientDataError,
     ValidationError,
 )
-from .numerics import CLOGLOG, GlmSpec, fit_glm, normal_cdf
+from .numerics import CLOGLOG, GlmSpec, fit_glm, linear_quantiles, normal_cdf
 from .risk_engine import (
     GLM_UNSTRATIFIED,
     PCE_STRATIFIED,
@@ -128,7 +128,7 @@ def threshold_for_rate(observed_risks: np.ndarray, target_rate: float) -> float:
         )
     if not 0.0 < target_rate < 1.0:
         raise ConfigError("target rate must lie in (0, 1)")
-    return float(np.quantile(risks, 1.0 - target_rate))
+    return float(linear_quantiles(risks, (1.0 - target_rate,))[0])
 
 
 def nnt_to_cohens_d(nnt: float) -> float:

@@ -45,6 +45,7 @@ from .numerics import (
     gaussian_kernel_weights,
     inverse_link,
     inverse_link_deriv,
+    linear_quantiles,
     natural_cubic_basis,
     normal_quantile,
     pca,
@@ -392,7 +393,7 @@ def effect_curve(
 
 def default_grid(focal_risks: np.ndarray, points: int = 101) -> np.ndarray:
     """Evenly spaced grid over the central 98% of the focal risks."""
-    lo, hi = np.quantile(focal_risks, (0.01, 0.99)).tolist()
+    lo, hi = linear_quantiles(focal_risks, (0.01, 0.99)).tolist()
     if hi <= lo:
         raise DegenerateSupportError("risk support is degenerate")
     return np.linspace(lo, hi, points)

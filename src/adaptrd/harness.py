@@ -49,6 +49,7 @@ from .estimator import (
     naive_diff,
     outcome_regression_ate,
 )
+from .numerics import linear_quantiles
 from .outcomes import (
     ClampStats,
     draw_noise,
@@ -451,7 +452,8 @@ def run_replications(config: ScenarioConfig, count: int, workers: int = 1) -> Re
             "mse": float(np.mean(arr**2)) if arr.size else None,
             "mean_abs_error": float(np.mean(np.abs(arr))) if arr.size else None,
             "error_quantiles": (
-                {repr(q): float(np.quantile(arr, q)) for q in ERROR_QUANTILES}
+                dict(zip(map(repr, ERROR_QUANTILES),
+                         linear_quantiles(arr, ERROR_QUANTILES).tolist()))
                 if arr.size
                 else None
             ),

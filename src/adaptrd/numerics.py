@@ -1,9 +1,10 @@
 """Self-contained numerical kernel.
 
 Implements the pieces of statistical machinery the estimator is built from:
-iteratively reweighted least squares (IRLS) for three GLM families, natural
-cubic spline bases, PCA on small dense matrices, Gaussian kernel weights and
-the standard normal CDF. Everything here is pure and reentrant.
+iteratively reweighted least squares (IRLS) for three GLM families, linear
+sample quantiles, natural cubic spline bases, PCA on small dense matrices,
+Gaussian kernel weights and the standard normal CDF. Everything here is pure
+and reentrant.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class GlmSpec:
             raise ValidationError("design matrix contains non-finite values")
         if not np.all(np.isfinite(self.response)):
             raise ValidationError("response contains non-finite values")
-        if self.family != GAUSSIAN and not np.all(np.isin(self.response, (0.0, 1.0))):
+        if self.family != GAUSSIAN and not np.all((self.response == 0) | (self.response == 1)):
             raise ValidationError("bernoulli response must be binary 0/1")
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=float)
@@ -226,10 +227,21 @@ def fit_glm(spec: GlmSpec) -> GlmFit:
 
 def _finalize_fit(spec, theta, info, dev, converged, iterations, eta) -> GlmFit:
     n, p = spec.design.shape
+    if not np.all(np.isfinite(info)):
+        raise NumericError(f"information matrix is not finite (family={spec.family})")
     try:
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError:
-        cov = np.linalg.inv(info + RIDGE_JITTER * np.eye(p))
+        try:
+            cov = np.linalg.inv(info + RIDGE_JITTER * np.eye(p))
+        except np.linalg.LinAlgError as exc:
+            raise RankDeficiencyError(
+                "information matrix not invertible after ridge jitter"
+            ) from exc
+    if not np.all(np.isfinite(cov)):
+        raise NumericError(
+            f"inverse of the information matrix is not finite (family={spec.family})"
+        )
     dispersion = 1.0
     if spec.family == GAUSSIAN:
         dispersion = dev / max(n - p, 1)
@@ -250,6 +262,56 @@ def _finalize_fit(spec, theta, info, dev, converged, iterations, eta) -> GlmFit:
         deviance=dev,
         boundary_fit=boundary,
     )
+
+
+# ---------------------------------------------------------------------------
+# Sample quantiles
+
+
+def linear_quantiles(values, qs, presorted: bool = False) -> np.ndarray:
+    """Linear (Hyndman & Fan type 7) sample quantiles, bit for bit numpy's default.
+
+    Each q reads the order statistics at floor((n - 1) q) and the next index
+    and interpolates between them as numpy does: a + d g, or b - d (1 - g)
+    when g >= 0.5. One q takes one single-index partition of a copy of
+    ``values``, numpy's fastest selection, and the next order statistic is
+    the smallest value above it; several qs index one sorted copy, which is
+    faster than a partition at many indices; ``presorted`` values are
+    indexed as they are. Any NaN makes every quantile NaN. Only where both
+    signed zeros occur may a zero quantile's sign differ from numpy's.
+    """
+    values = np.asarray(values, dtype=float).ravel()
+    n = values.size
+    if n == 0:
+        raise ValidationError("quantiles need at least one value")
+    picks = []
+    for q in qs:
+        q = float(q)
+        if not 0.0 <= q <= 1.0:
+            raise ValidationError("quantile probabilities must lie in [0, 1]")
+        virtual = (n - 1) * q
+        if virtual >= n - 1:
+            # numpy reads the last value twice, at index -1, so g = virtual + 1.
+            picks.append((n - 1, n - 1, virtual + 1.0))
+        else:
+            lo = math.floor(virtual)
+            picks.append((lo, lo + 1, virtual - lo))
+    if presorted or len(picks) > 1:
+        ordered = values if presorted else np.sort(values)
+        if math.isnan(ordered[-1]):  # NaNs sort last
+            return np.full(len(picks), ordered[-1])
+        ends = [(ordered[lo], ordered[hi], g) for lo, hi, g in picks]
+    else:
+        # A NaN sorts above every number, so the minimum above lo carries it.
+        ((lo, hi, g),) = picks
+        part = np.partition(values, lo)
+        ends = [(part[lo], part[hi:].min(), g)]
+    out = []
+    for a, b, g in ends:
+        a, b = float(a), float(b)
+        d = b - a
+        out.append(b - d * (1.0 - g) if g >= 0.5 else a + d * g)
+    return np.asarray(out)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +361,7 @@ def choose_knots(values: np.ndarray, df: int) -> SplineBasis:
             f"need at least {df + 2} distinct values for df={df}, got {distinct}"
         )
     lo, hi = float(ordered[0]), float(ordered[-1])
-    interior = np.quantile(ordered, [m / df for m in range(1, df)]).tolist()
+    interior = linear_quantiles(ordered, [m / df for m in range(1, df)], presorted=True).tolist()
     if any(not lo < k < hi for k in interior) or any(
         interior[i] >= interior[i + 1] for i in range(len(interior) - 1)
     ):

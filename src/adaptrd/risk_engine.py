@@ -9,6 +9,7 @@ earlier model/threshold pair, stored as raw risks per model version.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -91,8 +92,13 @@ def _parse_coefficient_json(payload: dict) -> PceCoefficientSet:
     return PceCoefficientSet(subgroups)
 
 
+@functools.cache
 def load_default_coefficients() -> PceCoefficientSet:
-    """Load the embedded coefficient table, verifying its checksum."""
+    """The embedded coefficient table, read and checksum-verified once per process.
+
+    Every caller shares the one object: nothing mutates a coefficient set
+    (``recalibrated_coefficients`` builds a new one), so sharing is safe.
+    """
     blob = resources.files("adaptrd").joinpath("data/pce_coefficients.json").read_bytes()
     digest = hashlib.sha256(blob).hexdigest()
     if digest != _COEFFICIENT_SHA256:

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .numerics import linear_quantiles
+
 WIDTH, HEIGHT = 720, 440
 MARGIN = 60
 
@@ -99,7 +101,7 @@ def box_plot_svg(groups: dict, path, title="Estimation error by method") -> None
     span = (WIDTH - 2 * MARGIN) / max(len(names), 1)
     for i, name in enumerate(names):
         vals = np.asarray(groups[name], dtype=float)
-        q1, med, q3 = (float(np.quantile(vals, q)) for q in (0.25, 0.5, 0.75))
+        q1, med, q3 = linear_quantiles(vals, (0.25, 0.5, 0.75)).tolist()
         iqr = q3 - q1
         w_lo = float(vals[vals >= q1 - 1.5 * iqr].min())
         w_hi = float(vals[vals <= q3 + 1.5 * iqr].max())

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -17,11 +18,14 @@ from adaptrd.numerics import (
     CLOGLOG,
     GAUSSIAN,
     LOGIT,
+    RIDGE_JITTER,
     GlmSpec,
+    _finalize_fit,
     choose_knots,
     fit_glm,
     gaussian_kernel_weights,
     inverse_link,
+    linear_quantiles,
     natural_cubic_basis,
     normal_cdf,
     normal_quantile,
@@ -128,8 +132,10 @@ class TestGlm:
             assert fit.boundary_fit
 
     def test_binary_response_validated(self):
-        with pytest.raises(ValidationError):
-            GlmSpec(LOGIT, np.ones((5, 1)), np.array([0.0, 1.0, 2.0, 0.0, 1.0]))
+        for bad in (2.0, 0.5):
+            with pytest.raises(ValidationError):
+                GlmSpec(LOGIT, np.ones((5, 1)), np.array([0.0, 1.0, bad, 0.0, 1.0]))
+        GlmSpec(LOGIT, np.ones((3, 1)), np.array([-0.0, 1.0, 0.0]))  # -0.0 is a 0
 
     def test_linear_predictor_and_means(self):
         fit = fit_glm(GlmSpec(GAUSSIAN, np.ones((10, 1)), np.full(10, 3.0)))
@@ -224,6 +230,101 @@ class TestOneSolveGaussianFit:
                 fit_glm(spec)
         assert not info.value.last_fit.converged
         assert np.isinf(info.value.last_fit.theta[0])
+
+
+def _invertible(matrix):
+    try:
+        np.linalg.inv(matrix)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+class TestFinalizeFitErrors:
+    """The covariance step raises typed errors, never a bare LinAlgError or NaNs."""
+
+    @pytest.mark.parametrize("seed", [4, 25])
+    def test_uninvertible_information_raises_rank_deficiency(self, seed):
+        # 1e3 * [1, a, b, a + 0.3 b]: the Cholesky solve can succeed while
+        # inverting the information fails with and without the jitter. Which
+        # happens depends on the BLAS's rounding, so the information is
+        # inverted here the way the fit inverts it.
+        local = np.random.default_rng(seed)
+        a, b, y = (local.standard_normal(30) for _ in range(3))
+        spec = GlmSpec(GAUSSIAN, 1e3 * np.column_stack([np.ones(30), a, b, a + 0.3 * b]), y)
+        info = spec.design.T @ spec.design
+        jittered = info + RIDGE_JITTER * np.eye(4)
+        if _invertible(info) or _invertible(jittered):
+            with contextlib.suppress(RankDeficiencyError):
+                fit_glm(spec)
+            return
+        with pytest.raises(RankDeficiencyError, match="not invertible after ridge jitter"):
+            fit_glm(spec)
+
+    def test_exactly_singular_information_raises_rank_deficiency(self):
+        # At this scale the jitter does not change a bit of the information.
+        spec = GlmSpec(GAUSSIAN, np.ones((4, 2)), np.arange(4.0))
+        info = np.full((2, 2), 1e20)
+        with pytest.raises(RankDeficiencyError, match="not invertible after ridge jitter"):
+            _finalize_fit(spec, np.zeros(2), info, 1.0, True, 1, np.zeros(4))
+
+    def test_overflowing_information_raises_numeric_error(self):
+        spec = GlmSpec(GAUSSIAN, np.full((5, 3), 1e160), np.arange(5.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericError, match="information matrix is not finite") as info:
+                fit_glm(spec)
+        assert type(info.value) is NumericError
+
+
+# Zero (never -0.0) and magnitudes from 1e-300 to 1e300 of either sign, so
+# every difference is finite.
+_QUANTILE_VALUES = st.one_of(
+    st.just(0.0), st.floats(1e-300, 1e300), st.floats(-1e300, -1e-300)
+)
+
+
+@st.composite
+def _quantile_case(draw):
+    """Values (n in 1..500, repeats when the drawn pool is short), qs, presorted."""
+    pool = draw(st.lists(_QUANTILE_VALUES, min_size=1, max_size=60))
+    values = np.resize(np.asarray(pool), draw(st.integers(1, 500)))
+    presorted = draw(st.booleans())
+    if presorted:
+        values = np.sort(values)
+    df = draw(st.integers(1, 8))
+    rate = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    qs = [0.0, 1.0, *(k / df for k in range(1, df)), 1.0 - rate]
+    qs += draw(st.lists(st.floats(0.0, 1.0), max_size=4))
+    return values, qs, presorted
+
+
+class TestLinearQuantiles:
+    """``linear_quantiles`` is ``np.quantile``, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_quantile_case())
+    def test_equals_np_quantile_bitwise(self, case):
+        values, qs, presorted = case
+        before = values.copy()
+        got = linear_quantiles(values, qs, presorted=presorted)
+        assert got.view(np.uint64).tolist() == np.quantile(values, qs).view(np.uint64).tolist()
+        # One q at a time takes the single-partition path.
+        got = np.concatenate([linear_quantiles(values, (q,), presorted=presorted) for q in qs])
+        want = np.array([np.quantile(values, q) for q in qs])
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+        assert values.tobytes() == before.tobytes()  # the caller's order is kept
+
+    def test_nan_makes_every_quantile_nan(self):
+        values = np.array([0.3, np.nan, 0.1, 0.2])
+        for qs in ((0.0, 0.5), (0.0,), (0.5,), (1.0,)):
+            assert np.all(np.isnan(linear_quantiles(values, qs)))
+            assert np.all(np.isnan(np.quantile(values, qs)))
+
+    def test_rejects_empty_values_and_outside_probabilities(self):
+        with pytest.raises(ValidationError):
+            linear_quantiles(np.empty(0), (0.5,))
+        with pytest.raises(ValidationError):
+            linear_quantiles(np.arange(3.0), (1.5,))
 
 
 class TestSplines:

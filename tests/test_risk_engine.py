@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from adaptrd.risk_engine import (
     PceCoefficientSet,
     RiskModelVersion,
     SubgroupCoefficients,
+    _parse_coefficient_json,
     build_counterfactual_matrix,
     export_matrix_csv,
     import_matrix_csv,
@@ -216,6 +219,21 @@ class TestCoefficientTable:
         assert set(coeffs.subgroups) == set(SUBGROUPS)
         for sg in coeffs.subgroups.values():
             assert 0.0 < sg.s0 < 1.0
+
+    def test_default_table_is_read_once_and_shared_safely(self):
+        coeffs = load_default_coefficients()
+        assert load_default_coefficients() is coeffs
+        blob = resources.files("adaptrd").joinpath("data/pce_coefficients.json").read_bytes()
+        fresh = _parse_coefficient_json(json.loads(blob))
+        table = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(11), 500)
+        shared, parsed = (
+            predict_risk_batch(RiskModelVersion(0, PCE_STRATIFIED, "original", coefficients=c), table)
+            for c in (coeffs, fresh)
+        )
+        assert shared.tobytes() == parsed.tobytes()
+        before = copy.deepcopy(coeffs)
+        recalibrated_coefficients(coeffs, -0.3, 0.85)
+        assert coeffs == before == fresh
 
     def test_override_file_roundtrip(self, tmp_path):
         coeffs = load_default_coefficients()
