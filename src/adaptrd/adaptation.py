@@ -29,6 +29,7 @@ from .numerics import CLOGLOG, GlmSpec, fit_glm, linear_quantiles, normal_cdf
 from .risk_engine import (
     GLM_UNSTRATIFIED,
     PCE_STRATIFIED,
+    CohortTerms,
     RiskModelVersion,
     cloglog_of_risk,
     predict_risk_batch,
@@ -230,7 +231,7 @@ def shrink_coefficients(
 
 
 def _update_inputs(
-    covariates: CohortTable,
+    covariates: CohortTable | CohortTerms,
     treatments: np.ndarray,
     outcomes: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -249,7 +250,7 @@ def _update_inputs(
 
 
 def recalibrate_model(
-    covariates: CohortTable,
+    covariates: CohortTable | CohortTerms,
     treatments: np.ndarray,
     outcomes: np.ndarray,
     original_model: RiskModelVersion,
@@ -262,7 +263,8 @@ def recalibrate_model(
     original model's cloglog risk and the treatment flag; the fitted
     (intercept, slope, treatment) triple is shrunk toward the identity
     (0, 1, 0) and folded back into the stratified coefficient table exactly.
-    Prediction for new patients is at treatment = 0.
+    Prediction for new patients is at treatment = 0. ``covariates`` is a
+    ``CohortTable`` or its ``CohortTerms``.
     """
     if original_model.kind != PCE_STRATIFIED:
         raise ConfigError("recalibration starts from the stratified model")
@@ -294,7 +296,7 @@ def recalibrate_model(
 
 
 def revise_model(
-    covariates: CohortTable,
+    covariates: CohortTable | CohortTerms,
     treatments: np.ndarray,
     outcomes: np.ndarray,
     original_model: RiskModelVersion,
@@ -308,7 +310,8 @@ def revise_model(
     The original stratified model is projected onto this design by least
     squares on its own cloglog risks over the accumulated cohort, giving a
     well-typed shrinkage baseline; the treatment coefficient's baseline is 0
-    and prediction is at treatment = 0.
+    and prediction is at treatment = 0. ``covariates`` is a ``CohortTable``
+    or its ``CohortTerms``, whose design is read, not rebuilt.
     """
     treatments, outcomes = _update_inputs(covariates, treatments, outcomes)
     design = unstratified_design(covariates)

@@ -30,6 +30,7 @@ from .risk_engine import (
     SUBGROUPS,
     export_matrix_csv,
     import_matrix_csv,
+    load_coefficients_file,
     original_pce_model,
     predict_risk_batch,
     subgroup_index,
@@ -77,9 +78,9 @@ def _load_scenario(args):
 def _cmd_simulate(args) -> int:
     config = _load_scenario(args)
     grid = _parse_grid(args.grid) if args.grid else None  # checked before the trial runs
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     trial = run_scenario(config)
+    out = Path(args.out)  # made once the trial has run, so a failed one leaves none
+    out.mkdir(parents=True, exist_ok=True)
     write_trial_csv(trial, out / "trial.csv")
     write_events_csv(trial.events, out / "events.csv")
     export_matrix_csv(trial.matrix, out / "matrix.csv")
@@ -199,6 +200,8 @@ def _cmd_risk(args) -> int:
 
 def _cmd_validate_config(args) -> int:
     config = _load_scenario(args)
+    if config.coefficients_file is not None:
+        load_coefficients_file(config.coefficients_file)
     print(f"ok: scenario {config.scenario_id}, n_patients={config.n_patients}, seed={config.seed}")
     return 0
 

@@ -44,8 +44,8 @@ from .numerics import (
     fit_glm,
     gaussian_kernel_weights,
     inverse_link,
-    inverse_link_deriv,
     linear_quantiles,
+    mean_and_slope,
     natural_cubic_basis,
     normal_quantile,
     pca,
@@ -173,17 +173,10 @@ def arm_predictions(
     family = surface.fit.family
     eta0 = X0 @ surface.fit.theta
     eta1 = X1 @ surface.fit.theta
-    mu0 = inverse_link(eta0, family)
-    mu1 = inverse_link(eta1, family)
+    mu0, d0 = mean_and_slope(eta0, family)
+    mu1, d1 = mean_and_slope(eta1, family)
     return ArmPredictions(
-        focal=focal,
-        X0=X0,
-        X1=X1,
-        mu0=mu0,
-        mu1=mu1,
-        effect=mu1 - mu0,
-        d0=inverse_link_deriv(eta0, family),
-        d1=inverse_link_deriv(eta1, family),
+        focal=focal, X0=X0, X1=X1, mu0=mu0, mu1=mu1, effect=mu1 - mu0, d0=d0, d1=d1
     )
 
 

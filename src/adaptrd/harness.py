@@ -62,6 +62,7 @@ from .risk_engine import (
     PceCoefficientSet,
     RiskModelVersion,
     build_counterfactual_matrix,
+    cohort_terms,
     load_coefficients_file,
     original_pce_model,
     predict_risk_batch,
@@ -152,7 +153,10 @@ def run_scenario(config: ScenarioConfig, stream: Optional[SeedStream] = None) ->
     noise = draw_noise(config.outcome, stream.child(1), n)
 
     original = _original_model(config)
-    baseline_risk = predict_risk_batch(original, covariates)
+    # The cohort's risk terms, computed once: every scoring in the trial,
+    # and every model update's rescoring of its prefix, reads them.
+    terms = cohort_terms(covariates)
+    baseline_risk = predict_risk_batch(original, terms)
     # Whole-cohort raw risks by model version, each version scored once when
     # it is created. A row's score reads only that patient's covariates, so
     # scoring later rows early reads nothing from the future.
@@ -166,10 +170,28 @@ def run_scenario(config: ScenarioConfig, stream: Optional[SeedStream] = None) ->
     events: list[AdaptationEvent] = []
     thr_idx, mdl_idx = _update_indices(config)
     boundaries = sorted(set(thr_idx) | set(mdl_idx) | {n})
+    if not mdl_idx:
+        terms = None  # only model updates read them again, so free them now
 
     raw_risk = np.empty(n)  # read by the rate-target update
     treatment = np.empty(n, dtype=int)
-    outcome = np.empty(n)
+    # Outcomes are drawn in one piece up to where they are first read (an
+    # NNT update, a model update or the end of the trial). An outcome is a
+    # function of its own patient's baseline risk, treatment and noise only,
+    # so drawing it late changes nothing; NaN marks the ones not drawn yet.
+    outcome = np.full(n, np.nan)
+    drawn = 0
+
+    def draw_outcomes(stop: int) -> None:
+        nonlocal drawn
+        outcome[drawn:stop] = outcomes_from_noise(
+            config.outcome,
+            baseline_risk[drawn:stop],
+            treatment[drawn:stop],
+            noise[drawn:stop],
+            clamp_stats,
+        )
+        drawn = stop
 
     start = 0
     for end in boundaries:
@@ -178,18 +200,13 @@ def run_scenario(config: ScenarioConfig, stream: Optional[SeedStream] = None) ->
         risks = scored[current_model.version_id][start:end]
         raw_risk[start:end] = risks
         treatment[start:end] = (risks - current_threshold >= 0.0).astype(int)
-        outcome[start:end] = outcomes_from_noise(
-            config.outcome,
-            baseline_risk[start:end],
-            treatment[start:end],
-            noise[start:end],
-            clamp_stats,
-        )
         history.append(current_model, current_threshold, end - start)
         m = end
         start = end
         if m >= n:
             break
+        if m in mdl_idx or (m in thr_idx and target_d is not None):  # NNT and model updates
+            draw_outcomes(m)
         # Threshold first (reads only logged history), then the model.
         if m in thr_idx:
             current_threshold = _apply_threshold_update(
@@ -198,8 +215,9 @@ def run_scenario(config: ScenarioConfig, stream: Optional[SeedStream] = None) ->
             )
         if m in mdl_idx:
             current_model = _apply_model_update(
-                config, m, covariates, treatment, outcome, original, current_model, events, scored,
+                config, m, terms, treatment, outcome, original, current_model, events, scored,
             )
+    draw_outcomes(n)
 
     matrix = build_counterfactual_matrix(history, scored)
     return TrialData(
@@ -276,19 +294,19 @@ def _nnt_threshold(
 
 
 def _apply_model_update(
-    config, m, covariates, treatment, outcome, original, current_model, events, scored,
+    config, m, terms, treatment, outcome, original, current_model, events, scored,
 ) -> RiskModelVersion:
     """The model after the update at ``m`` (the current one if it is skipped).
 
-    Version ids count up from the original's 0, one per model scored, so the
-    next id is ``len(scored)``.
+    The update reads the first ``m`` patients' terms; the new version is
+    scored over the whole cohort's. Version ids count up from the
+    original's 0, one per model scored, so the next id is ``len(scored)``.
     """
     strategy = config.model_strategy
-    prefix = covariates.slice(0, m)
     update = recalibrate_model if isinstance(strategy, RecalibrateModel) else revise_model
     try:
         new_model = update(
-            prefix, treatment[:m], outcome[:m], original,
+            terms.prefix(m), treatment[:m], outcome[:m], original,
             n0=strategy.shrink_n0, next_version_id=len(scored),
         )
     except AdaptRdError as exc:
@@ -298,7 +316,7 @@ def _apply_model_update(
             )
         )
         return current_model
-    scored[new_model.version_id] = predict_risk_batch(new_model, covariates)
+    scored[new_model.version_id] = predict_risk_batch(new_model, terms)
     detail = ",".join(f"{k}={v!r}" for k, v in sorted(new_model.fit_details.items()))
     events.append(
         AdaptationEvent(m, "model_update", current_model.version_id, new_model.version_id, detail)
@@ -325,7 +343,9 @@ class EvaluationResult:
     methods: dict  # {name: MethodResult}, in METHODS order
 
     def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """``dataclasses.asdict(self)``, built directly: every field is a float, str or None."""
+        methods = {name: vars(result).copy() for name, result in self.methods.items()}
+        return {"truth": self.truth, "methods": methods}
 
 
 def _method_result(step) -> MethodResult:
@@ -417,6 +437,8 @@ def run_replications(config: ScenarioConfig, count: int, workers: int = 1) -> Re
         raise ConfigError("replication count must be >= 1")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
+    if config.coefficients_file is not None:  # a bad file fails the batch, not each trial
+        load_coefficients_file(config.coefficients_file)
     tasks = [(config, rep) for rep in range(count)]
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:

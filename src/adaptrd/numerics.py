@@ -55,16 +55,21 @@ def inverse_link(eta: np.ndarray, family: str) -> np.ndarray:
     raise ValidationError(f"unknown family: {family}")
 
 
-def inverse_link_deriv(eta: np.ndarray, family: str) -> np.ndarray:
-    """d mu / d eta for each family."""
+def mean_and_slope(eta: np.ndarray, family: str) -> tuple[np.ndarray, np.ndarray]:
+    """The mean ``inverse_link(eta)`` and its slope d mu / d eta, from one clip.
+
+    The logit slope is mu (1 - mu); the cloglog mean 1 - exp(-exp(eta)) and
+    slope exp(eta - exp(eta)) share one exp(eta).
+    """
     if family == GAUSSIAN:
-        return np.ones_like(eta)
+        return eta, np.ones_like(eta)
     eta = np.clip(eta, -_ETA_CAP, _ETA_CAP)
     if family == LOGIT:
         mu = 1.0 / (1.0 + np.exp(-eta))
-        return mu * (1.0 - mu)
+        return mu, mu * (1.0 - mu)
     if family == CLOGLOG:
-        return np.exp(eta - np.exp(eta))
+        exp_eta = np.exp(eta)
+        return 1.0 - np.exp(-exp_eta), np.exp(eta - exp_eta)
     raise ValidationError(f"unknown family: {family}")
 
 
@@ -85,7 +90,7 @@ def _deviance(y: np.ndarray, mu: np.ndarray, w: np.ndarray, family: str) -> floa
         return float(np.sum(w * (y - mu) ** 2))
     # y is 0/1, so each row has one log term: log(1/mu) or log(1/(1 - mu)).
     mu = np.clip(mu, _MU_EPS, 1.0 - _MU_EPS)
-    terms = np.log(np.where(y > 0, 1.0 / mu, 1.0 / (1.0 - mu)))
+    terms = np.log(1.0 / np.where(y > 0, mu, 1.0 - mu))
     return float(2.0 * np.sum(w * terms))
 
 
@@ -190,8 +195,8 @@ def fit_glm(spec: GlmSpec) -> GlmFit:
             f"least-squares solve overflowed (family={spec.family})", last_fit=last
         )
 
-    def irls_step(eta, mu):
-        dmu = np.clip(inverse_link_deriv(eta, spec.family), _MU_EPS, None)
+    def irls_step(eta, mu, dmu):
+        dmu = np.clip(dmu, _MU_EPS, None)
         var = np.clip(mu * (1.0 - mu), _MU_EPS, None)
         return weighted_solve(w * dmu * dmu / var, eta + (y - mu) / dmu)
 
@@ -200,11 +205,11 @@ def fit_glm(spec: GlmSpec) -> GlmFit:
     theta = np.zeros(p)
     dev = np.inf
     info = np.eye(p)
-    mu = inverse_link(eta, spec.family)
+    mu, dmu = mean_and_slope(eta, spec.family)
     for it in range(1, MAX_ITER + 1):
-        theta_new, info = irls_step(eta, mu)
+        theta_new, info = irls_step(eta, mu, dmu)
         eta = X @ theta_new
-        mu = inverse_link(eta, spec.family)
+        mu, dmu = mean_and_slope(eta, spec.family)
         dev_new = _deviance(y, mu, w, spec.family)
         step = float(np.max(np.abs(theta_new - theta))) if it > 1 else np.inf
         rel_dev = abs(dev_new - dev) / (abs(dev) + 1e-300) if np.isfinite(dev) else np.inf
@@ -213,19 +218,21 @@ def fit_glm(spec: GlmSpec) -> GlmFit:
         if step < STEP_TOL or rel_dev < DEVIANCE_TOL:
             # One polishing solve so the score vanishes at the returned theta
             # even when the deviance rule fired first.
-            theta, info = irls_step(eta, mu)
+            theta, info = irls_step(eta, mu, dmu)
             eta = X @ theta
-            dev = _deviance(y, inverse_link(eta, spec.family), w, spec.family)
-            return _finalize_fit(spec, theta, info, dev, True, it, eta)
+            mu = inverse_link(eta, spec.family)
+            dev = _deviance(y, mu, w, spec.family)
+            return _finalize_fit(spec, theta, info, dev, True, it, eta, mu)
 
-    last = _finalize_fit(spec, theta, info, dev, False, MAX_ITER, eta)
+    last = _finalize_fit(spec, theta, info, dev, False, MAX_ITER, eta, mu)
     raise NonConvergenceError(
         f"IRLS did not converge in {MAX_ITER} iterations (family={spec.family})",
         last_fit=last,
     )
 
 
-def _finalize_fit(spec, theta, info, dev, converged, iterations, eta) -> GlmFit:
+def _finalize_fit(spec, theta, info, dev, converged, iterations, eta, mu=None) -> GlmFit:
+    """The GlmFit at ``theta``. ``mu``, the mean at ``eta``, is recomputed only if not given."""
     n, p = spec.design.shape
     if not np.all(np.isfinite(info)):
         raise NumericError(f"information matrix is not finite (family={spec.family})")
@@ -250,7 +257,7 @@ def _finalize_fit(spec, theta, info, dev, converged, iterations, eta) -> GlmFit:
     if spec.family == GAUSSIAN:
         boundary = False
     else:
-        mu = inverse_link(eta, spec.family)
+        mu = inverse_link(eta, spec.family) if mu is None else mu
         boundary = bool(np.any(mu <= 1e-8) or np.any(mu >= 1.0 - 1e-8))
     return GlmFit(
         theta=theta,

@@ -81,13 +81,27 @@ class PceCoefficientSet:
                 raise ConfigError(f"{name}: coefficients must be finite")
 
 
-def _parse_coefficient_json(payload: dict) -> PceCoefficientSet:
+def _number(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+
+
+def _parse_coefficient_json(payload) -> PceCoefficientSet:
+    if not isinstance(payload, dict):
+        raise ConfigError(f"must be a JSON object of subgroups, got {type(payload).__name__}")
     subgroups = {}
     for name, sg in payload.items():
+        if not isinstance(sg, dict) or not isinstance(sg.get("terms"), dict):
+            raise ConfigError(f"{name}: needs a \"terms\" object")
+        missing = [key for key in ("s0", "lp_bar") if key not in sg]
+        if missing:
+            raise ConfigError(f"{name}: missing {', '.join(missing)}")
         subgroups[name] = SubgroupCoefficients(
-            terms={k: float(v) for k, v in sg["terms"].items()},
-            s0=float(sg["s0"]),
-            lp_bar=float(sg["lp_bar"]),
+            terms={k: _number(v, f"{name}: term {k}") for k, v in sg["terms"].items()},
+            s0=_number(sg["s0"], f"{name}: s0"),
+            lp_bar=_number(sg["lp_bar"], f"{name}: lp_bar"),
         )
     return PceCoefficientSet(subgroups)
 
@@ -110,7 +124,10 @@ def load_default_coefficients() -> PceCoefficientSet:
 
 
 def load_coefficients_file(path) -> PceCoefficientSet:
-    """Load a user-supplied coefficient override file (same JSON schema)."""
+    """Load a user-supplied coefficient override file (same JSON schema).
+
+    Any fault of the file raises ``ConfigError`` naming the file.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"coefficient file not found: {path}")
@@ -118,7 +135,10 @@ def load_coefficients_file(path) -> PceCoefficientSet:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"coefficient file is not valid JSON: {exc}") from exc
-    return _parse_coefficient_json(payload)
+    try:
+        return _parse_coefficient_json(payload)
+    except ConfigError as exc:
+        raise ConfigError(f"coefficient file {path}: {exc}") from exc
 
 
 def subgroup_index(table: CohortTable) -> np.ndarray:
@@ -126,51 +146,114 @@ def subgroup_index(table: CohortTable) -> np.ndarray:
     return np.where(table.female, 0, 2) + (table.race == "black")
 
 
-def _pce_term_values(table: CohortTable) -> dict:
-    ln_age = np.log(table.age)
-    ln_tc = np.log(table.total_chol)
-    ln_hdl = np.log(table.hdl_chol)
-    ln_sbp = np.log(table.systolic_bp)
-    treated = table.bp_treated.astype(float)
-    smoker = table.smoker.astype(float)
-    return {
-        "ln_age": ln_age,
-        "ln_age_sq": ln_age**2,
-        "ln_total_chol": ln_tc,
-        "ln_age_x_ln_total_chol": ln_age * ln_tc,
-        "ln_hdl": ln_hdl,
-        "ln_age_x_ln_hdl": ln_age * ln_hdl,
-        "ln_sbp_treated": ln_sbp * treated,
-        "ln_age_x_ln_sbp_treated": ln_age * ln_sbp * treated,
-        "ln_sbp_untreated": ln_sbp * (1.0 - treated),
-        "ln_age_x_ln_sbp_untreated": ln_age * ln_sbp * (1.0 - treated),
-        "smoker": smoker,
-        "ln_age_x_smoker": ln_age * smoker,
-        "diabetes": table.diabetes.astype(float),
-    }
+_TERM_COLUMN = {t: j for j, t in enumerate(PCE_TERMS)}
 
 
-def unstratified_design(table: CohortTable) -> np.ndarray:
-    """Design matrix over UNSTRATIFIED_TERMS (intercept + 13 transforms)."""
-    terms = _pce_term_values(table)
-    cols = [np.ones(len(table))] + [terms[t] for t in PCE_TERMS]
-    return np.column_stack(cols)
+@dataclass(frozen=True, eq=False)
+class CohortTerms:
+    """A cohort's PCE term values, computed once and read by every scoring of it.
+
+    Built by ``cohort_terms(table)``. The 13 terms are gathered by subgroup:
+    ``rows[k]`` holds the ascending positions of SUBGROUPS[k]'s patients and
+    ``gathered[k]`` their term values, one row per PCE_TERMS entry.
+    ``design``, the unstratified design over UNSTRATIFIED_TERMS, is built on
+    first read. ``prefix(m)`` gives the first m patients' terms as views of
+    these arrays and shares the whole cohort's design. Every array is
+    read-only.
+    """
+
+    n: int
+    rows: tuple  # per subgroup, int positions
+    gathered: tuple  # per subgroup, (13, len(rows[k])) term values
+    whole: Optional["CohortTerms"] = field(default=None, repr=False)  # what a prefix slices
+
+    def __len__(self) -> int:
+        return self.n
+
+    def prefix(self, m: int) -> "CohortTerms":
+        """The first ``m`` patients' terms, as views of these."""
+        if not 0 <= m <= self.n:
+            raise ValidationError(f"prefix length {m} outside 0..{self.n}")
+        counts = [int(np.searchsorted(r, m)) for r in self.rows]
+        return CohortTerms(
+            m,
+            tuple(r[:c] for r, c in zip(self.rows, counts)),
+            tuple(g[:, :c] for g, c in zip(self.gathered, counts)),
+            self if self.whole is None else self.whole,
+        )
+
+    @functools.cached_property
+    def design(self) -> np.ndarray:
+        """Design matrix over UNSTRATIFIED_TERMS, built once for the whole cohort."""
+        if self.whole is not None:
+            return self.whole.design[: self.n]
+        design = np.empty((self.n, len(UNSTRATIFIED_TERMS)))
+        design[:, 0] = 1.0
+        for r, g in zip(self.rows, self.gathered):
+            design[r, 1:] = g.T
+        design.flags.writeable = False
+        return design
 
 
-def _pce_risk_batch(table: CohortTable, coeffs: PceCoefficientSet) -> np.ndarray:
-    terms = _pce_term_values(table)
-    n = len(table)
+def _term_values(table: CohortTable, rows: np.ndarray) -> np.ndarray:
+    """The 13 PCE terms of the patients at ``rows``, one row per PCE_TERMS entry."""
+    ln_age = np.log(table.age[rows])
+    ln_tc = np.log(table.total_chol[rows])
+    ln_hdl = np.log(table.hdl_chol[rows])
+    ln_sbp = np.log(table.systolic_bp[rows])
+    treated = table.bp_treated[rows].astype(float)
+    smoker = table.smoker[rows].astype(float)
+    return np.stack([
+        ln_age,
+        ln_age**2,
+        ln_tc,
+        ln_age * ln_tc,
+        ln_hdl,
+        ln_age * ln_hdl,
+        ln_sbp * treated,
+        ln_age * ln_sbp * treated,
+        ln_sbp * (1.0 - treated),
+        ln_age * ln_sbp * (1.0 - treated),
+        smoker,
+        ln_age * smoker,
+        table.diabetes[rows].astype(float),
+    ])
+
+
+def cohort_terms(table: CohortTable | CohortTerms) -> CohortTerms:
+    """A ``CohortTable``'s terms; ``CohortTerms`` pass through.
+
+    Each subgroup's terms are computed on its own rows, by the same
+    elementwise operations as always, so no whole-cohort term array is made.
+    """
+    if isinstance(table, CohortTerms):
+        return table
     index = subgroup_index(table)
-    out = np.empty(n)
-    for k, name in enumerate(SUBGROUPS):
-        mask = index == k
-        if not mask.any():
+    rows = tuple(np.flatnonzero(index == k) for k in range(len(SUBGROUPS)))
+    gathered = tuple(_term_values(table, r) for r in rows)
+    for array in rows + gathered:
+        array.flags.writeable = False
+    return CohortTerms(len(table), rows, gathered)
+
+
+def unstratified_design(table: CohortTable | CohortTerms) -> np.ndarray:
+    """Design matrix over UNSTRATIFIED_TERMS (intercept + 13 transforms), read-only.
+
+    ``table`` is a ``CohortTable`` or its ``CohortTerms``.
+    """
+    return cohort_terms(table).design
+
+
+def _pce_risk_batch(terms: CohortTerms, coeffs: PceCoefficientSet) -> np.ndarray:
+    out = np.empty(terms.n)
+    for name, rows, values in zip(SUBGROUPS, terms.rows, terms.gathered):
+        if not rows.size:
             continue
         sg = coeffs.subgroups[name]
-        lp = np.zeros(mask.sum())
+        lp = np.zeros(rows.size)
         for t, c in sg.terms.items():
-            lp += c * terms[t][mask]
-        out[mask] = 1.0 - sg.s0 ** np.exp(lp - sg.lp_bar)
+            lp += c * values[_TERM_COLUMN[t]]
+        out[rows] = 1.0 - sg.s0 ** np.exp(lp - sg.lp_bar)
     return np.clip(out, RISK_FLOOR, RISK_CEIL)
 
 
@@ -218,11 +301,16 @@ def original_pce_model(coeffs: Optional[PceCoefficientSet] = None) -> RiskModelV
     return RiskModelVersion(version_id=0, kind=PCE_STRATIFIED, provenance="original", coefficients=coeffs)
 
 
-def predict_risk_batch(model: RiskModelVersion, table: CohortTable) -> np.ndarray:
+def predict_risk_batch(model: RiskModelVersion, table: CohortTable | CohortTerms) -> np.ndarray:
+    """Raw risks of ``table``'s patients under ``model``.
+
+    ``table`` is a ``CohortTable`` or its ``CohortTerms``; a caller that
+    scores one cohort many times builds the terms once and passes them.
+    """
+    terms = cohort_terms(table)
     if model.kind == PCE_STRATIFIED:
-        return _pce_risk_batch(table, model.coefficients)
-    design = unstratified_design(table)
-    lp = design @ np.asarray(model.glm_theta, dtype=float)
+        return _pce_risk_batch(terms, model.coefficients)
+    lp = terms.design @ np.asarray(model.glm_theta, dtype=float)
     risk = 1.0 - np.exp(-np.exp(np.clip(lp, -30.0, 30.0)))
     return np.clip(risk, RISK_FLOOR, RISK_CEIL)
 

@@ -13,9 +13,13 @@ code for the kernel weights at one centre, the default grid, the knot
 choice and the spline basis, kept verbatim as bitwise references for their
 rewrites. The next section keeps the three regression-based comparators
 as they were when each fitted its own models, verbatim, as bitwise
-references for the shared ``ComparatorInputs``. The last keeps the IRLS
-loop that every GLM family, Gaussian included, once ran, as the bitwise
-reference for the one-solve Gaussian fit.
+references for the shared ``ComparatorInputs``. The next keeps the risk
+scoring from a cohort table, the link derivative and the Bernoulli deviance
+as they were before a cohort's terms were computed once and the IRLS loop
+took each mean and slope from one link evaluation. The last keeps the IRLS
+loop that every GLM family, Gaussian included, once ran, with that link
+derivative and deviance, as the bitwise reference for the one-solve
+Gaussian fit and for ``mean_and_slope`` in the Bernoulli loop.
 """
 
 import math
@@ -148,7 +152,6 @@ def dense_design_reference(shifted, focal_index, treatments, outcomes, config, r
         fit_glm,
         gaussian_kernel_weights,
         inverse_link,
-        inverse_link_deriv,
         natural_cubic_basis,
         normal_quantile,
         pca,
@@ -177,7 +180,8 @@ def dense_design_reference(shifted, focal_index, treatments, outcomes, config, r
     X0, X1 = design(np.zeros(n)), design(np.ones(n))
     eta0, eta1 = X0 @ fit.theta, X1 @ fit.theta
     mu0, mu1 = inverse_link(eta0, fit.family), inverse_link(eta1, fit.family)
-    d0, d1 = inverse_link_deriv(eta0, fit.family), inverse_link_deriv(eta1, fit.family)
+    d0 = inverse_link_deriv_reference(eta0, fit.family)
+    d1 = inverse_link_deriv_reference(eta1, fit.family)
     w = gaussian_kernel_weights(focal, r, config.bandwidth)
     beta = float(w @ (mu1 - mu0))
     grad = X1.T @ (w * d1) - X0.T @ (w * d0)
@@ -412,20 +416,112 @@ def aipw_ate_reference(
     return float(weights @ influence)
 
 
+# Risk scoring, the link derivative and the Bernoulli deviance as they were
+# before a cohort's terms were computed once and the IRLS loop took the mean
+# and its slope from one link evaluation: kept verbatim as bitwise
+# references for ``CohortTerms``, ``predict_risk_batch``,
+# ``unstratified_design``, ``mean_and_slope`` and ``_deviance``.
+
+from adaptrd.numerics import _ETA_CAP, _MU_EPS, CLOGLOG, GAUSSIAN  # noqa: E402
+from adaptrd.risk_engine import (  # noqa: E402
+    PCE_STRATIFIED,
+    PCE_TERMS,
+    RISK_CEIL,
+    RISK_FLOOR,
+    SUBGROUPS,
+    subgroup_index,
+)
+
+
+def pce_term_values_reference(table: CohortTable) -> dict:
+    ln_age = np.log(table.age)
+    ln_tc = np.log(table.total_chol)
+    ln_hdl = np.log(table.hdl_chol)
+    ln_sbp = np.log(table.systolic_bp)
+    treated = table.bp_treated.astype(float)
+    smoker = table.smoker.astype(float)
+    return {
+        "ln_age": ln_age,
+        "ln_age_sq": ln_age**2,
+        "ln_total_chol": ln_tc,
+        "ln_age_x_ln_total_chol": ln_age * ln_tc,
+        "ln_hdl": ln_hdl,
+        "ln_age_x_ln_hdl": ln_age * ln_hdl,
+        "ln_sbp_treated": ln_sbp * treated,
+        "ln_age_x_ln_sbp_treated": ln_age * ln_sbp * treated,
+        "ln_sbp_untreated": ln_sbp * (1.0 - treated),
+        "ln_age_x_ln_sbp_untreated": ln_age * ln_sbp * (1.0 - treated),
+        "smoker": smoker,
+        "ln_age_x_smoker": ln_age * smoker,
+        "diabetes": table.diabetes.astype(float),
+    }
+
+
+def unstratified_design_reference(table: CohortTable) -> np.ndarray:
+    """Design matrix over UNSTRATIFIED_TERMS (intercept + 13 transforms)."""
+    terms = pce_term_values_reference(table)
+    cols = [np.ones(len(table))] + [terms[t] for t in PCE_TERMS]
+    return np.column_stack(cols)
+
+
+def pce_risk_batch_reference(table: CohortTable, coeffs) -> np.ndarray:
+    terms = pce_term_values_reference(table)
+    n = len(table)
+    index = subgroup_index(table)
+    out = np.empty(n)
+    for k, name in enumerate(SUBGROUPS):
+        mask = index == k
+        if not mask.any():
+            continue
+        sg = coeffs.subgroups[name]
+        lp = np.zeros(mask.sum())
+        for t, c in sg.terms.items():
+            lp += c * terms[t][mask]
+        out[mask] = 1.0 - sg.s0 ** np.exp(lp - sg.lp_bar)
+    return np.clip(out, RISK_FLOOR, RISK_CEIL)
+
+
+def predict_risk_reference(model, table: CohortTable) -> np.ndarray:
+    if model.kind == PCE_STRATIFIED:
+        return pce_risk_batch_reference(table, model.coefficients)
+    design = unstratified_design_reference(table)
+    lp = design @ np.asarray(model.glm_theta, dtype=float)
+    risk = 1.0 - np.exp(-np.exp(np.clip(lp, -30.0, 30.0)))
+    return np.clip(risk, RISK_FLOOR, RISK_CEIL)
+
+
+def inverse_link_deriv_reference(eta: np.ndarray, family: str) -> np.ndarray:
+    """d mu / d eta for each family."""
+    if family == GAUSSIAN:
+        return np.ones_like(eta)
+    eta = np.clip(eta, -_ETA_CAP, _ETA_CAP)
+    if family == LOGIT:
+        mu = 1.0 / (1.0 + np.exp(-eta))
+        return mu * (1.0 - mu)
+    if family == CLOGLOG:
+        return np.exp(eta - np.exp(eta))
+    raise ValidationError(f"unknown family: {family}")
+
+
+def deviance_reference(y: np.ndarray, mu: np.ndarray, w: np.ndarray, family: str) -> float:
+    if family == GAUSSIAN:
+        return float(np.sum(w * (y - mu) ** 2))
+    # y is 0/1, so each row has one log term: log(1/mu) or log(1/(1 - mu)).
+    mu = np.clip(mu, _MU_EPS, 1.0 - _MU_EPS)
+    terms = np.log(np.where(y > 0, 1.0 / mu, 1.0 / (1.0 - mu)))
+    return float(2.0 * np.sum(w * terms))
+
+
 # The GLM fit as it was when every family, Gaussian included, ran the IRLS
 # loop: kept verbatim as the bitwise reference for the one-solve Gaussian fit.
 
 from adaptrd.errors import NonConvergenceError  # noqa: E402
 from adaptrd.numerics import (  # noqa: E402
     DEVIANCE_TOL,
-    GAUSSIAN,
     MAX_ITER,
     STEP_TOL,
-    _MU_EPS,
-    _deviance,
     _finalize_fit,
     _solve_information,
-    inverse_link_deriv,
     link_function,
 )
 
@@ -448,7 +544,7 @@ def irls_fit_reference(spec: GlmSpec):
     info = np.eye(p)
 
     def irls_step(eta, mu):
-        dmu = inverse_link_deriv(eta, spec.family)
+        dmu = inverse_link_deriv_reference(eta, spec.family)
         if spec.family == GAUSSIAN:
             irls_w = w
             z = y
@@ -467,7 +563,7 @@ def irls_fit_reference(spec: GlmSpec):
         theta_new, info = irls_step(eta, mu)
         eta = X @ theta_new
         mu = inverse_link(eta, spec.family)
-        dev_new = _deviance(y, mu, w, spec.family)
+        dev_new = deviance_reference(y, mu, w, spec.family)
         step = float(np.max(np.abs(theta_new - theta))) if it > 1 else np.inf
         rel_dev = abs(dev_new - dev) / (abs(dev) + 1e-300) if np.isfinite(dev) else np.inf
         theta = theta_new
@@ -477,7 +573,7 @@ def irls_fit_reference(spec: GlmSpec):
             # even when the deviance rule fired first.
             theta, info = irls_step(eta, mu)
             eta = X @ theta
-            dev = _deviance(y, inverse_link(eta, spec.family), w, spec.family)
+            dev = deviance_reference(y, inverse_link(eta, spec.family), w, spec.family)
             return _finalize_fit(spec, theta, info, dev, True, it, eta)
 
     last = _finalize_fit(spec, theta, info, dev, False, MAX_ITER, eta)

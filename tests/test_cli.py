@@ -194,6 +194,16 @@ class TestSimulate:
         assert code == 2
         assert "scenario" in capsys.readouterr().err
 
+    def test_trial_failing_at_run_time_leaves_no_output_directory(self, tmp_path, capsys):
+        # The config parses; the cohort file is found missing only when the trial runs.
+        missing = tmp_path / "missing.csv"
+        out = tmp_path / "run"
+        code = run_cli("simulate", "--config", "scenario1", "--out", str(out), *SMALL,
+                       "--override", f'cohort={{"source":"csv","path":"{missing}"}}')
+        assert code == 2
+        assert f"cohort file not found: {missing}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("overrides, model_events", [
         (["update_every=75"], [400, 475, 550]),
         (["n_patients=200", "warmup=100"], [100]),
@@ -597,3 +607,33 @@ class TestValidateConfig:
                        "--override", "n_patients=2000.0", "--override", "estimator.spline_df=3")
         assert code == 0
         assert "n_patients=2000," in capsys.readouterr().out
+
+
+class TestBadCoefficientsFile:
+    """A malformed coefficients file is a configuration error for every command."""
+
+    FILES = {
+        "top_level_list": ("[]", "must be a JSON object of subgroups, got list"),
+        "no_terms": (json.dumps({"white_female": {"s0": 0.9, "lp_bar": 0.0}}),
+                     'white_female: needs a "terms" object'),
+        "coefficient_x": (
+            json.dumps({"white_female": {"terms": {"ln_age": "x"}, "s0": 0.9, "lp_bar": 0.0}}),
+            "white_female: term ln_age must be a number, got 'x'",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FILES))
+    @pytest.mark.parametrize("command", ["simulate", "replicate", "validate-config"])
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, case, command):
+        text, problem = self.FILES[case]
+        path = tmp_path / "coefficients.json"
+        path.write_text(text)
+        out = tmp_path / "out"
+        argv = ["--config", "scenario4", "--override", f"coefficients_file={path}", *SMALL]
+        if command != "validate-config":
+            argv += ["--out", str(out)]
+        if command == "replicate":
+            argv += ["--replications", "2"]
+        assert run_cli(command, *argv) == 2
+        assert f"coefficient file {path}: {problem}" in capsys.readouterr().err
+        assert not out.exists()  # a failed run leaves no output directory

@@ -559,3 +559,114 @@ class TestReplications:
         r2 = run_replications(cfg, 4)
         # first two replications identical regardless of batch size
         assert r1.per_method["adaptive_rd"]["errors"] == r2.per_method["adaptive_rd"]["errors"][:2]
+
+
+class _TableTerms:
+    """A cohort table standing in for its terms, so that the earlier per-table scoring runs."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def __len__(self):
+        return len(self.table)
+
+    def prefix(self, m):
+        return _TableTerms(self.table.slice(0, m))
+
+
+def _trial_bits(trial):
+    return (
+        trial.treatment.tobytes(),
+        trial.outcome.tobytes(),
+        trial.baseline_risk.tobytes(),
+        trial.matrix.raw.tobytes(),
+        trial.matrix.thresholds.tobytes(),
+        trial.matrix.column_map.tobytes(),
+        [dataclasses.astuple(e) for e in trial.events],
+        trial.clamp_count,
+    )
+
+
+class TestFixedCostsOnce:
+    """Terms once per cohort, outcomes drawn where read: every output as before."""
+
+    @pytest.mark.parametrize("scenario", [4, 5])
+    def test_model_updates_equal_a_run_with_the_earlier_scoring(self, monkeypatch, scenario):
+        import adaptrd.adaptation as adaptation
+        import adaptrd.harness as harness
+
+        cfg = small_preset(scenario, seed=3, n=900)
+        trial = run_scenario(cfg)
+        assert sum(e.kind == "model_update" for e in trial.events) >= 4
+
+        def earlier_scoring(model, terms):
+            return oracles.predict_risk_reference(model, terms.table)
+
+        monkeypatch.setattr(harness, "cohort_terms", _TableTerms)
+        monkeypatch.setattr(harness, "predict_risk_batch", earlier_scoring)
+        monkeypatch.setattr(adaptation, "predict_risk_batch", earlier_scoring)
+        monkeypatch.setattr(
+            adaptation, "unstratified_design",
+            lambda terms: oracles.unstratified_design_reference(terms.table),
+        )
+        before = run_scenario(cfg)
+        assert _trial_bits(trial) == _trial_bits(before)
+        assert evaluate_at_final_threshold(trial) == evaluate_at_final_threshold(before)
+
+    @pytest.mark.parametrize(
+        "scenario, reader",
+        [(3, "fit_outcome_surface"), (4, "recalibrate_model"), (5, "revise_model")],
+    )
+    def test_each_update_reads_outcomes_drawn_up_to_m(self, monkeypatch, scenario, reader):
+        import adaptrd.harness as harness
+
+        seen = []
+        original = getattr(harness, reader)
+
+        def spy(first, treatments, outcomes, *args, **kwargs):
+            # ``outcomes`` is the first m entries of the trial's outcome array.
+            seen.append((outcomes.copy(), outcomes.base[len(outcomes):].copy()))
+            return original(first, treatments, outcomes, *args, **kwargs)
+
+        monkeypatch.setattr(harness, reader, spy)
+        trial = run_scenario(small_preset(scenario, n=900))
+        updates = [e.index for e in trial.events]  # each preset adapts one thing
+        assert [len(drawn) for drawn, _ in seen] == updates and len(updates) == 5
+        for drawn, rest in seen:
+            assert np.array_equal(drawn, trial.outcome[: drawn.size])
+            assert np.isnan(rest).all()
+        assert not np.isnan(trial.outcome).any()
+
+    @pytest.mark.parametrize("scenario, calls", [(1, 1), (2, 1), (3, 6), (4, 6), (5, 6)])
+    def test_outcomes_are_drawn_once_per_reading_stretch(self, monkeypatch, scenario, calls):
+        import adaptrd.harness as harness
+
+        counted = []
+
+        def count(*args):
+            counted.append(len(args[1]))
+            return outcomes_from_noise(*args)
+
+        monkeypatch.setattr(harness, "outcomes_from_noise", count)
+        trial = run_scenario(small_preset(scenario, n=900))
+        assert len(counted) == calls and sum(counted) == trial.n
+
+    def test_replication_record_is_the_dataclass_as_dict(self):
+        trial = run_scenario(scenario_preset(4, seed=7, n_patients=24, warmup=12, update_every=4))
+        result = evaluate_at_final_threshold(trial)
+        assert any(m.error for m in result.methods.values())
+        assert any(m.estimate is not None for m in result.methods.values())
+        record = result.to_dict()
+        assert record == dataclasses.asdict(result)
+        assert list(record["methods"]) == list(METHODS)
+        record["methods"]["naive"]["estimate"] = "edited"
+        assert result.methods["naive"].estimate != "edited"
+
+    def test_bad_coefficients_file_fails_the_batch_before_it_runs(self, tmp_path, monkeypatch):
+        import adaptrd.harness as harness
+
+        path = tmp_path / "coefficients.json"
+        path.write_text("[]")
+        monkeypatch.setattr(harness, "run_scenario", None)  # no trial may start
+        with pytest.raises(ConfigError, match=f"coefficient file {path}: must be a JSON object"):
+            run_replications(small_preset(4, coefficients_file=str(path)), 4, workers=2)

@@ -26,6 +26,7 @@ from adaptrd.numerics import (
     gaussian_kernel_weights,
     inverse_link,
     linear_quantiles,
+    mean_and_slope,
     natural_cubic_basis,
     normal_cdf,
     normal_quantile,
@@ -34,6 +35,8 @@ from adaptrd.numerics import (
 )
 from oracles import (
     choose_knots_reference,
+    deviance_reference,
+    inverse_link_deriv_reference,
     irls_fit_reference,
     natural_cubic_basis_reference,
     pointwise_kernel_weights,
@@ -103,9 +106,7 @@ class TestGlm:
             if family == GAUSSIAN:
                 score = X.T @ (y - mu)
             else:
-                from adaptrd.numerics import inverse_link_deriv
-
-                d = inverse_link_deriv(X @ fit.theta, family)
+                _, d = mean_and_slope(X @ fit.theta, family)
                 var = np.clip(mu * (1 - mu), 1e-10, None)
                 score = X.T @ ((y - mu) * d / var)
             assert np.max(np.abs(score)) < 1e-6, family
@@ -665,3 +666,108 @@ class TestEarlierFormulas:
         got = natural_cubic_basis(x, basis)
         want = natural_cubic_basis_reference(x, knots, df)
         assert got.tobytes() == want.tobytes()  # sign bits of zeros included
+
+
+def _bernoulli_case(seed, n, p, family, case):
+    """A Bernoulli GlmSpec of the named kind, drawn from ``seed``."""
+    local = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(n), local.standard_normal((n, p - 1))])
+    eta = X @ local.normal(0.0, 0.8, p) - (1.0 if family == CLOGLOG else 0.0)
+    y = (local.uniform(size=n) < inverse_link(eta, family)).astype(float)
+    weights = None
+    if case == "zero_weights":
+        weights = local.uniform(0.1, 2.0, size=n) * (local.uniform(size=n) < 0.7)
+    y[:2] = (0.0, 1.0)  # both outcomes occur
+    if case == "separation":
+        X[:2, -1] = (-1.0, 1.0)
+        y = (X[:, -1] > 0.0).astype(float)  # the last column splits the outcomes
+    return GlmSpec(family, X, y, weights=weights)
+
+
+def _full_fit(fit):
+    """Every field of a GlmFit, arrays and floats as bits."""
+    return (
+        fit.theta.tobytes(),
+        fit.cov.tobytes(),
+        fit.family,
+        np.float64(fit.dispersion).tobytes(),
+        fit.converged,
+        fit.iterations,
+        np.float64(fit.deviance).tobytes(),
+        fit.boundary_fit,
+    )
+
+
+def _fit_or_last_fit(fit, spec):
+    """The fit's fields, or a NonConvergenceError's message and its last fit's fields."""
+    try:
+        return None, _full_fit(fit(spec))
+    except NonConvergenceError as exc:
+        return str(exc), _full_fit(exc.last_fit)
+
+
+class TestOneLinkEvaluation:
+    """Each IRLS step's mean and slope from one link evaluation, bit for bit as before."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        eta=st.lists(st.floats(-60.0, 60.0), min_size=1, max_size=40),
+        family=st.sampled_from([GAUSSIAN, LOGIT, CLOGLOG]),
+    )
+    def test_mean_and_slope_equal_the_separate_evaluations(self, eta, family):
+        eta = np.array(eta)
+        mu, dmu = mean_and_slope(eta, family)
+        assert mu.tobytes() == inverse_link(eta, family).tobytes()
+        assert dmu.tobytes() == inverse_link_deriv_reference(eta, family).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 1.0]),
+                st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1e-12, 0.5, 1.0 - 1e-16, 1.0])),
+                st.floats(0.0, 10.0),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        family=st.sampled_from([GAUSSIAN, LOGIT, CLOGLOG]),
+    )
+    def test_deviance_equals_the_earlier_formula(self, rows, family):
+        from adaptrd.numerics import _deviance
+
+        y, mu, w = (np.array(col) for col in zip(*rows))
+        got, want = _deviance(y, mu, w, family), deviance_reference(y, mu, w, family)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(20, 150),
+        p=st.integers(1, 4),
+        family=st.sampled_from([LOGIT, CLOGLOG]),
+        case=st.sampled_from(["unit", "zero_weights", "separation"]),
+    )
+    def test_fit_equals_the_irls_loop_bitwise(self, seed, n, p, family, case):
+        spec = _bernoulli_case(seed, n, max(p, 2) if case == "separation" else p, family, case)
+        assert _fit_or_last_fit(fit_glm, spec) == _fit_or_last_fit(irls_fit_reference, spec)
+
+    @pytest.mark.parametrize("family", [LOGIT, CLOGLOG])
+    def test_separation_ends_on_the_boundary_as_before(self, family):
+        spec = _bernoulli_case(5, 80, 2, family, "separation")
+        outcome = _fit_or_last_fit(fit_glm, spec)
+        assert outcome[1][-1]  # boundary_fit, of the fit or of the last iterate
+        assert outcome == _fit_or_last_fit(irls_fit_reference, spec)
+
+    @pytest.mark.parametrize("family", [LOGIT, CLOGLOG])
+    def test_last_fit_of_a_non_converged_loop_as_before(self, monkeypatch, family):
+        import oracles
+        from adaptrd import numerics
+
+        spec = _bernoulli_case(8, 120, 3, family, "zero_weights")
+        monkeypatch.setattr(numerics, "MAX_ITER", 2)
+        monkeypatch.setattr(oracles, "MAX_ITER", 2)
+        message, last = _fit_or_last_fit(fit_glm, spec)
+        assert "did not converge in 2 iterations" in message
+        assert last[4:6] == (False, 2)  # converged, iterations
+        assert (message, last) == _fit_or_last_fit(irls_fit_reference, spec)

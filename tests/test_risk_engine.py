@@ -5,6 +5,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptrd.cohort import DEFAULT_COHORT_PARAMS, CohortTable, sample_cohort
 from adaptrd.errors import ConfigError, ValidationError
@@ -14,6 +16,7 @@ from adaptrd.risk_engine import (
     PCE_STRATIFIED,
     SUBGROUPS,
     UNSTRATIFIED_TERMS,
+    CohortTerms,
     CounterfactualRiskMatrix,
     ModelHistory,
     PceCoefficientSet,
@@ -21,6 +24,7 @@ from adaptrd.risk_engine import (
     SubgroupCoefficients,
     _parse_coefficient_json,
     build_counterfactual_matrix,
+    cohort_terms,
     export_matrix_csv,
     import_matrix_csv,
     load_coefficients_file,
@@ -29,9 +33,16 @@ from adaptrd.risk_engine import (
     predict_risk_batch,
     recalibrated_coefficients,
     subgroup_index,
+    unstratified_design,
 )
 from adaptrd.seeds import SeedStream
-from oracles import pce_linear_predictor, pce_risk, pce_subgroup
+from oracles import (
+    pce_linear_predictor,
+    pce_risk,
+    pce_subgroup,
+    predict_risk_reference,
+    unstratified_design_reference,
+)
 from tables import one_row
 
 
@@ -478,3 +489,76 @@ def test_pce_scores_do_not_depend_on_the_rest_of_the_batch():
     full = predict_risk_batch(model, table)
     for start, stop in [(0, 1), (0, 400), (400, 500), (1, 2999), (2990, 3000), (123, 1877)]:
         assert np.array_equal(predict_risk_batch(model, table.slice(start, stop)), full[start:stop])
+
+
+# ---------------------------------------------------------------------------
+# Cohort terms: every scoring bit for bit as the earlier per-table code
+
+SEX_RACE = [(female, race) for female in (True, False) for race in ("white", "black", "other")]
+
+
+@st.composite
+def cohorts(draw):
+    """Up to 50 patients from a drawn subset of the sex/race cells, so subgroups may be empty."""
+    n = draw(st.integers(0, 50))
+    cells = draw(st.lists(st.sampled_from(SEX_RACE), min_size=1, max_size=len(SEX_RACE), unique=True))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pick = rng.integers(len(cells), size=n)
+    tc = rng.uniform(130.0, 320.0, n)
+    return CohortTable(
+        age=rng.uniform(40.0, 79.0, n),
+        female=np.array([cells[i][0] for i in pick], dtype=bool),
+        race=np.array([cells[i][1] for i in pick], dtype="<U5"),
+        systolic_bp=rng.uniform(90.0, 200.0, n),
+        total_chol=tc,
+        hdl_chol=rng.uniform(0.1, 0.5, n) * tc,
+        smoker=rng.uniform(size=n) < 0.3,
+        diabetes=rng.uniform(size=n) < 0.2,
+        bp_treated=rng.uniform(size=n) < 0.4,
+    )
+
+
+def _bits(array) -> bytes:
+    return np.ascontiguousarray(array, dtype=float).tobytes()
+
+
+class TestCohortTerms:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        table=cohorts(),
+        intercept=st.floats(-1.0, 1.0),
+        slope=st.floats(0.5, 1.5),
+        theta_seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_version_and_prefix_scores_as_before(self, table, intercept, slope, theta_seed):
+        base = load_default_coefficients()
+        theta = np.random.default_rng(theta_seed).normal(0.0, 0.3, len(UNSTRATIFIED_TERMS))
+        models = [
+            original_pce_model(),
+            RiskModelVersion(1, PCE_STRATIFIED, "recalibrated",
+                             coefficients=recalibrated_coefficients(base, intercept, slope)),
+            RiskModelVersion(2, GLM_UNSTRATIFIED, "revised", glm_theta=theta),
+        ]
+        terms = cohort_terms(table)
+        assert len(terms) == len(table)
+        for model in models:
+            assert _bits(predict_risk_batch(model, table)) == _bits(predict_risk_reference(model, table))
+        for m in range(len(table) + 1):
+            prefix, rows = terms.prefix(m), table.slice(0, m)
+            assert len(prefix) == m
+            assert _bits(unstratified_design(prefix)) == _bits(unstratified_design_reference(rows))
+            for model in models:
+                assert _bits(predict_risk_batch(model, prefix)) == _bits(predict_risk_reference(model, rows))
+
+    def test_arrays_are_read_only_and_prefixes_share_the_design(self):
+        table = sample_cohort(DEFAULT_COHORT_PARAMS, SeedStream(3), 40)
+        terms = cohort_terms(table)
+        for array in terms.rows + terms.gathered + (terms.design,):
+            assert not array.flags.writeable
+        prefix = terms.prefix(25)
+        assert np.shares_memory(prefix.design, terms.design)
+        assert prefix.prefix(10).design.base is terms.design
+        assert cohort_terms(terms) is terms
+        with pytest.raises(ValidationError, match="prefix length 41"):
+            terms.prefix(41)
+
