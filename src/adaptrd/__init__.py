@@ -48,7 +48,6 @@ from .estimator import (
     EffectEstimate,
     EstimatorConfig,
     FittedOutcomeSurface,
-    SurfaceDesign,
     aipw_ate,
     arm_predictions,
     comparator_inputs,

@@ -88,7 +88,7 @@ def _cmd_simulate(args) -> int:
     surface = fit_outcome_surface(trial.matrix, trial.treatment, trial.outcome, config.estimator)
     if grid is None:
         grid = default_grid(trial.matrix.focal_shifted)
-    curve = effect_curve(surface, None, grid, config.estimator)  # on the fitted rows
+    curve = effect_curve(surface, config.estimator, grid)
     write_curve_csv(curve, out / "curve.csv")
 
     evaluation = evaluate_at_final_threshold(trial)
@@ -182,7 +182,7 @@ def _cmd_estimate(args) -> int:
     surface = fit_outcome_surface(matrix, logged.treatment, logged.outcome, config)
     if grid is None:
         grid = default_grid(matrix.focal_shifted)
-    curve = effect_curve(surface, None, grid, config)  # on the fitted rows
+    curve = effect_curve(surface, config, grid)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_curve_csv(curve, out / "curve.csv")

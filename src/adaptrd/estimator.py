@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -93,57 +92,25 @@ class EffectEstimate:
     low_support: bool = False
 
 
-@dataclass(frozen=True, eq=False)
-class SurfaceDesign:
-    """What the surface's design is built from: fitted once, replayed on any matrix.
+@dataclass
+class FittedOutcomeSurface:
+    """Fitted GLM, the design's pieces, the logged treatments and the fitted rows' terms.
 
     The focal column's shifted risks enter through per-arm natural cubic
     splines. Each non-focal version enters through its first distinct column,
     residualized on the focal one, and the residuals through the retained
-    principal components.
-    """
-
-    focal_column: int
-    nonfocal_columns: tuple[int, ...]  # each non-focal version's first distinct column
-    resid_intercepts: np.ndarray  # per non-focal model version
-    resid_slopes: np.ndarray
-    pca_result: PcaResult
-    basis_untreated: SplineBasis
-    basis_treated: SplineBasis
-
-    def terms(self, matrix: CounterfactualRiskMatrix) -> tuple[np.ndarray, ...]:
-        """(focal risks, untreated basis, treated basis, PC scores) of every patient."""
-        if matrix.n_distinct <= max((*self.nonfocal_columns, self.focal_column)):
-            raise ValidationError("matrix does not match the surface's version structure")
-        # shifted_column returns a new array, so a curve that computes its
-        # estimates later cannot see an edit of the matrix.
-        focal = matrix.shifted_column(self.focal_column)
-        resid = np.empty((focal.size, len(self.nonfocal_columns)))
-        for i, d in enumerate(self.nonfocal_columns):
-            line = self.resid_intercepts[i] + self.resid_slopes[i] * focal
-            resid[:, i] = matrix.shifted_column(d) - line
-        return (
-            focal,
-            natural_cubic_basis(focal, self.basis_untreated),
-            natural_cubic_basis(focal, self.basis_treated),
-            self.pca_result.transform(resid),
-        )
-
-
-@dataclass
-class FittedOutcomeSurface:
-    """Fitted GLM, the design it was fitted on, and the logged treatments.
-
-    ``terms`` are the design's terms on the fitted rows, as
-    ``SurfaceDesign.terms`` returned them during the fit and marked
-    read-only; an evaluation given ``matrix=None`` reads them instead of
-    rebuilding them.
+    principal components. ``terms`` are (focal risks, untreated basis,
+    treated basis, PC scores) of every fitted patient, read-only, so an edit
+    of the matrix after the fit moves no evaluation.
     """
 
     fit: GlmFit
-    design: SurfaceDesign
     treatments: np.ndarray
     terms: tuple[np.ndarray, ...] = field(repr=False)
+    nonfocal_columns: tuple[int, ...]  # each non-focal version's first distinct column
+    pca_result: PcaResult
+    basis_untreated: SplineBasis
+    basis_treated: SplineBasis
 
 
 @dataclass(frozen=True)
@@ -160,14 +127,9 @@ class ArmPredictions:
     d1: np.ndarray
 
 
-def arm_predictions(
-    surface: FittedOutcomeSurface, matrix: Optional[CounterfactualRiskMatrix]
-) -> ArmPredictions:
-    """Evaluate the surface on ``matrix`` with every patient forced to each arm.
-
-    ``matrix=None`` evaluates on the rows the surface was fitted on.
-    """
-    focal, *terms = surface.terms if matrix is None else surface.design.terms(matrix)
+def arm_predictions(surface: FittedOutcomeSurface) -> ArmPredictions:
+    """Evaluate the surface on its fitted rows with every patient forced to each arm."""
+    focal, *terms = surface.terms
     X0 = _build_design(np.zeros(focal.size), *terms)
     X1 = _build_design(np.ones(focal.size), *terms)
     family = surface.fit.family
@@ -233,23 +195,25 @@ def fit_outcome_surface(
     nonfocal = tuple(
         d for d, v in enumerate(versions) if v != versions[focal_col] and versions.index(v) == d
     )
-    fits = [residualize(matrix.shifted_column(d), focal) for d in nonfocal]
-    resid = np.column_stack([f.residuals for f in fits]) if fits else np.empty((n, 0))
-    design = SurfaceDesign(
-        focal_column=focal_col,
-        nonfocal_columns=nonfocal,
-        resid_intercepts=np.array([f.intercept for f in fits]),
-        resid_slopes=np.array([f.slope for f in fits]),
-        pca_result=pca(resid, config.pca_variance),
-        basis_untreated=choose_knots(focal[treatments == 0], config.spline_df),
-        basis_treated=choose_knots(focal[treatments == 1], config.spline_df),
+    resid = np.empty((n, len(nonfocal)))
+    for i, d in enumerate(nonfocal):
+        resid[:, i] = residualize(matrix.shifted_column(d), focal).residuals
+    pca_result = pca(resid, config.pca_variance)
+    basis_untreated = choose_knots(focal[treatments == 0], config.spline_df)
+    basis_treated = choose_knots(focal[treatments == 1], config.spline_df)
+    terms = (
+        focal,
+        natural_cubic_basis(focal, basis_untreated),
+        natural_cubic_basis(focal, basis_treated),
+        pca_result.transform(resid),
     )
-    terms = design.terms(matrix)
     for values in terms:
         values.flags.writeable = False
     X = _build_design(treatments.astype(float), *terms[1:])
     fit = fit_glm(GlmSpec(family=config.family, design=X, response=outcomes))
-    return FittedOutcomeSurface(fit, design, treatments.astype(int), terms)
+    return FittedOutcomeSurface(
+        fit, treatments.astype(int), terms, nonfocal, pca_result, basis_untreated, basis_treated
+    )
 
 
 def _effect_gradient(preds: ArmPredictions, weights: np.ndarray) -> np.ndarray:
@@ -295,17 +259,11 @@ def _effect_at(
 
 
 def estimate_effect(
-    surface: FittedOutcomeSurface,
-    matrix: Optional[CounterfactualRiskMatrix],
-    r: float,
-    config: EstimatorConfig,
+    surface: FittedOutcomeSurface, config: EstimatorConfig, r: float
 ) -> EffectEstimate:
-    """Kernel-weighted local effect and arm means at shifted risk ``r``.
-
-    ``matrix=None`` evaluates on the rows the surface was fitted on.
-    """
+    """Kernel-weighted local effect and arm means at shifted risk ``r`` on the fitted rows."""
     z = normal_quantile(0.5 + config.confidence / 2.0)
-    preds = arm_predictions(surface, matrix)
+    preds = arm_predictions(surface)
     weights = gaussian_kernel_weights(preds.focal, r, config.bandwidth)
     return _effect_at(surface, preds, r, weights, config, z)
 
@@ -354,16 +312,10 @@ class EffectCurve:
 
 
 def effect_curve(
-    surface: FittedOutcomeSurface,
-    matrix: Optional[CounterfactualRiskMatrix],
-    grid: np.ndarray,
-    config: EstimatorConfig,
+    surface: FittedOutcomeSurface, config: EstimatorConfig, grid: np.ndarray
 ) -> EffectCurve:
-    """Evaluate the effect across a grid; unsupported points are reported.
-
-    ``matrix=None`` evaluates on the rows the surface was fitted on.
-    """
-    preds = arm_predictions(surface, matrix)
+    """Evaluate the effect across a grid on the fitted rows; unsupported points are reported."""
+    preds = arm_predictions(surface)
     rs = []
     betas = []
     skipped = []

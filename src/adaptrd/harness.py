@@ -99,13 +99,12 @@ class TrialData:
 
     @property
     def final_threshold(self) -> float:
-        _, threshold, _, _ = self.matrix.diagonal()
-        return float(threshold[-1])
+        return float(self.matrix.thresholds[self.matrix.focal_index])
 
     def threshold_trajectory(self) -> list[tuple[int, float]]:
         """(index, new threshold) pairs, starting from the initial value."""
-        _, threshold, _, _ = self.matrix.diagonal()
-        out = [(0, float(threshold[0]))]
+        matrix = self.matrix
+        out = [(0, float(matrix.thresholds[matrix.column_map[0]]))]
         for ev in self.events:
             if ev.kind == "threshold_update":
                 out.append((ev.index, ev.new))
@@ -277,7 +276,7 @@ def _nnt_threshold(
     matrix = build_counterfactual_matrix(history, scored)  # the m patients so far
     surface = fit_outcome_surface(matrix, treatment[:m], outcome[:m], config.estimator)
     grid = default_grid(matrix.focal_shifted, 101)
-    curve = effect_curve(surface, None, grid, config.estimator)  # on the fitted rows
+    curve = effect_curve(surface, config.estimator, grid)
     if not curve.r.size:
         raise ConfigError("effect curve has no supported grid points")
     sd = pooled_outcome_sd(outcome[:m], treatment[:m])
@@ -370,7 +369,7 @@ def evaluate_at_final_threshold(trial: TrialData) -> EvaluationResult:
 
     def adaptive_rd():
         surface = fit_outcome_surface(trial.matrix, trial.treatment, trial.outcome, est_cfg)
-        return estimate_effect(surface, None, 0.0, est_cfg)  # on the fitted rows
+        return estimate_effect(surface, est_cfg, 0.0)
 
     # The comparators share one outcome fit, one propensity fit and one
     # kernel row. Their inputs are built on the first comparator's call; a

@@ -145,19 +145,14 @@ class GlmFit:
 
 def _solve_information(info: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve info @ x = rhs, retrying once with ridge jitter on the diagonal."""
-    try:
-        chol = np.linalg.cholesky(info)
-        return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs.T)).T
-    except np.linalg.LinAlgError:
-        pass
-    jittered = info + RIDGE_JITTER * np.eye(info.shape[0])
-    try:
-        chol = np.linalg.cholesky(jittered)
-        return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs.T)).T
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficiencyError(
-            "information matrix singular after ridge jitter"
-        ) from exc
+    for jitter in (None, RIDGE_JITTER):
+        matrix = info if jitter is None else info + jitter * np.eye(info.shape[0])
+        try:
+            chol = np.linalg.cholesky(matrix)
+            return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs.T)).T
+        except np.linalg.LinAlgError as exc:
+            error = exc
+    raise RankDeficiencyError("information matrix singular after ridge jitter") from error
 
 
 def fit_glm(spec: GlmSpec) -> GlmFit:
@@ -188,6 +183,7 @@ def fit_glm(spec: GlmSpec) -> GlmFit:
         theta, info = weighted_solve(w, y)
         eta = X @ theta
         dev = _deviance(y, eta, w, spec.family)
+        # Under the identity link the fitted means are eta.
         if np.all(np.isfinite(theta)):
             return _finalize_fit(spec, theta, info, dev, True, 1, eta)
         last = _finalize_fit(spec, theta, info, dev, False, 1, eta)
@@ -222,17 +218,17 @@ def fit_glm(spec: GlmSpec) -> GlmFit:
             eta = X @ theta
             mu = inverse_link(eta, spec.family)
             dev = _deviance(y, mu, w, spec.family)
-            return _finalize_fit(spec, theta, info, dev, True, it, eta, mu)
+            return _finalize_fit(spec, theta, info, dev, True, it, mu)
 
-    last = _finalize_fit(spec, theta, info, dev, False, MAX_ITER, eta, mu)
+    last = _finalize_fit(spec, theta, info, dev, False, MAX_ITER, mu)
     raise NonConvergenceError(
         f"IRLS did not converge in {MAX_ITER} iterations (family={spec.family})",
         last_fit=last,
     )
 
 
-def _finalize_fit(spec, theta, info, dev, converged, iterations, eta, mu=None) -> GlmFit:
-    """The GlmFit at ``theta``. ``mu``, the mean at ``eta``, is recomputed only if not given."""
+def _finalize_fit(spec, theta, info, dev, converged, iterations, mu) -> GlmFit:
+    """The GlmFit at ``theta``, whose fitted means are ``mu``."""
     n, p = spec.design.shape
     if not np.all(np.isfinite(info)):
         raise NumericError(f"information matrix is not finite (family={spec.family})")
@@ -257,7 +253,6 @@ def _finalize_fit(spec, theta, info, dev, converged, iterations, eta, mu=None) -
     if spec.family == GAUSSIAN:
         boundary = False
     else:
-        mu = inverse_link(eta, spec.family) if mu is None else mu
         boundary = bool(np.any(mu <= 1e-8) or np.any(mu >= 1.0 - 1e-8))
     return GlmFit(
         theta=theta,

@@ -572,11 +572,11 @@ def irls_fit_reference(spec: GlmSpec):
             # One polishing solve so the score vanishes at the returned theta
             # even when the deviance rule fired first.
             theta, info = irls_step(eta, mu)
-            eta = X @ theta
-            dev = deviance_reference(y, inverse_link(eta, spec.family), w, spec.family)
-            return _finalize_fit(spec, theta, info, dev, True, it, eta)
+            mu = inverse_link(X @ theta, spec.family)
+            dev = deviance_reference(y, mu, w, spec.family)
+            return _finalize_fit(spec, theta, info, dev, True, it, mu)
 
-    last = _finalize_fit(spec, theta, info, dev, False, MAX_ITER, eta)
+    last = _finalize_fit(spec, theta, info, dev, False, MAX_ITER, mu)
     raise NonConvergenceError(
         f"IRLS did not converge in {MAX_ITER} iterations (family={spec.family})",
         last_fit=last,

@@ -121,7 +121,7 @@ def test_criterion_04_static_model_reduction():
     grid = np.linspace(np.quantile(focal, 0.02), np.quantile(focal, 0.98), 21)
     worst = 0.0
     for r in grid:
-        mine = estimate_effect(surface, trial.matrix, float(r), config.estimator).beta_hat
+        mine = estimate_effect(surface, config.estimator, float(r)).beta_hat
         oracle = independent_rd_estimate(focal, trial.treatment, trial.outcome, float(r), config.estimator)
         worst = max(worst, abs(mine - oracle))
     ok = worst < 1e-8
@@ -149,7 +149,7 @@ def test_criterion_05_numerics_oracles():
     trial = run_scenario(config)
     surface = fit_outcome_surface(trial.matrix, trial.treatment, trial.outcome, config.estimator)
     w = gaussian_kernel_weights(trial.matrix.focal_shifted, 0.0, 0.02)
-    preds = arm_predictions(surface, trial.matrix)
+    preds = arm_predictions(surface)
     grad = _effect_gradient(preds, w)
     X0, X1 = preds.X0, preds.X1
 
@@ -270,7 +270,7 @@ def _mu_curve_mae(sid: int) -> tuple[float, int]:
     est_cfg = config.estimator
     surface = fit_outcome_surface(trial.matrix, trial.treatment, trial.outcome, est_cfg)
     grid = default_grid(trial.matrix.focal_shifted, 41)
-    curve = effect_curve(surface, trial.matrix, grid, est_cfg)
+    curve = effect_curve(surface, est_cfg, grid)
     focal = trial.matrix.focal_shifted
     errs = []
     for e in curve.estimates:

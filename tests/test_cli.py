@@ -237,6 +237,16 @@ class TestEstimateReplay:
         assert code == 0
         assert (out / "curve.csv").read_bytes() == (replay / "curve.csv").read_bytes()
 
+    @pytest.mark.parametrize("scenario", ["scenario1", "scenario2"])  # binary, continuous
+    def test_replay_without_config_infers_the_family(self, tmp_path, scenario):
+        out = tmp_path / "run"
+        assert run_cli("simulate", "--config", scenario, "--out", str(out), *SMALL) == 0
+        replay = tmp_path / "replay"
+        code = run_cli("estimate", "--trial", str(out / "trial.csv"),
+                       "--matrix", str(out / "matrix.csv"), "--out", str(replay))
+        assert code == 0
+        assert (out / "curve.csv").read_bytes() == (replay / "curve.csv").read_bytes()
+
     def test_custom_grid_row_count(self, tmp_path):
         out = tmp_path / "run"
         run_cli("simulate", "--config", "scenario2", "--out", str(out), *SMALL)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -94,8 +93,8 @@ class TestFitSurface:
     def test_static_matrix_retains_zero_components(self):
         matrix, treatments, outcomes = simulated_static_trial()
         surface = fit_outcome_surface(matrix, treatments, outcomes, EstimatorConfig())
-        assert surface.design.pca_result.retained == 0
-        assert surface.design.nonfocal_columns == ()
+        assert surface.pca_result.retained == 0
+        assert surface.nonfocal_columns == ()
         # design reduces to intercept + per-arm splines + arm indicator
         assert surface.fit.theta.shape == (2 + 2 * 2,)
 
@@ -106,12 +105,12 @@ class TestFitSurface:
         treatments[:10] = 1 - treatments[:10]  # ensure both arms everywhere
         outcomes = rng.standard_normal(len(table))
         surface = fit_outcome_surface(matrix, treatments, outcomes, EstimatorConfig())
-        assert surface.design.pca_result.retained == 0
+        assert surface.pca_result.retained == 0
 
     def test_exact_fit_for_linear_gaussian_outcomes(self):
         matrix, treatments, outcomes = simulated_static_trial(sigma=0.0)
         surface = fit_outcome_surface(matrix, treatments, outcomes, EstimatorConfig())
-        preds = arm_predictions(surface, matrix)
+        preds = arm_predictions(surface)
         mu0, mu1 = preds.mu0, preds.mu1
         fitted = np.where(treatments == 1, mu1, mu0)
         assert np.max(np.abs(fitted - outcomes)) < 1e-6
@@ -153,7 +152,7 @@ class TestPredictArmMeans:
         matrix, treatments, _ = simulated_static_trial(n=300)
         outcomes = 2.0 + 3.0 * treatments + 0.0 * matrix.focal_shifted
         surface = fit_outcome_surface(matrix, treatments, outcomes, EstimatorConfig())
-        preds = arm_predictions(surface, matrix)
+        preds = arm_predictions(surface)
         mu0, mu1 = float(preds.mu0[16]), float(preds.mu1[16])
         assert mu0 == pytest.approx(2.0, abs=1e-6)
         assert mu1 == pytest.approx(5.0, abs=1e-6)
@@ -165,7 +164,7 @@ class TestPredictArmMeans:
             matrix, treatments, outcomes, EstimatorConfig(family=LOGIT)
         )
         surface.fit.theta[:] = 0.0
-        preds = arm_predictions(surface, matrix)
+        preds = arm_predictions(surface)
         mu0, mu1 = float(preds.mu0[0]), float(preds.mu1[0])
         assert (mu0, mu1) == (0.5, 0.5)
 
@@ -174,7 +173,7 @@ class TestPredictArmMeans:
         config = EstimatorConfig()
         surface = fit_outcome_surface(matrix, treatments, outcomes, config)
         k = int(np.argmax(treatments == 1)) + 1
-        mu1 = float(arm_predictions(surface, matrix).mu1[k - 1])
+        mu1 = float(arm_predictions(surface).mu1[k - 1])
         design_row = np.concatenate(
             [
                 [1.0],
@@ -182,7 +181,7 @@ class TestPredictArmMeans:
                 [1.0],
                 np.asarray(
                     __import__("adaptrd.numerics", fromlist=["natural_cubic_basis"])
-                    .natural_cubic_basis(matrix.focal_shifted[k - 1 : k], surface.design.basis_treated)
+                    .natural_cubic_basis(matrix.focal_shifted[k - 1 : k], surface.basis_treated)
                 ).ravel(),
             ]
         )
@@ -197,7 +196,7 @@ class TestEstimateEffect:
         config = EstimatorConfig()
         surface = fit_outcome_surface(matrix, treatments, outcomes, config)
         for r in (-0.1, 0.0, 0.15):
-            est = estimate_effect(surface, matrix, r, config)
+            est = estimate_effect(surface, config, r)
             assert est.beta_hat == pytest.approx(4.0, abs=1e-6)
 
     def test_reduction_to_independent_1d_rd(self):
@@ -205,7 +204,7 @@ class TestEstimateEffect:
         config = EstimatorConfig()
         surface = fit_outcome_surface(matrix, treatments, outcomes, config)
         for r in np.linspace(-0.1, 0.15, 7):
-            mine = estimate_effect(surface, matrix, float(r), config).beta_hat
+            mine = estimate_effect(surface, config, float(r)).beta_hat
             oracle = independent_rd_estimate(
                 matrix.focal_shifted, treatments, outcomes, float(r), config
             )
@@ -215,7 +214,7 @@ class TestEstimateEffect:
         matrix, treatments, outcomes = simulated_static_trial(n=500)
         config = EstimatorConfig(confidence=0.95)
         surface = fit_outcome_surface(matrix, treatments, outcomes, config)
-        est = estimate_effect(surface, matrix, 0.0, config)
+        est = estimate_effect(surface, config, 0.0)
         assert est.ci[0] <= est.beta_hat <= est.ci[1]
         z = 1.959963984540054
         assert est.ci[1] - est.ci[0] == pytest.approx(2 * z * est.se, rel=1e-9)
@@ -225,8 +224,8 @@ class TestEstimateEffect:
         config = EstimatorConfig()
         s1 = fit_outcome_surface(matrix, treatments, outcomes, config)
         s2 = fit_outcome_surface(matrix, treatments, outcomes + 100.0, config)
-        e1 = estimate_effect(s1, matrix, 0.0, config)
-        e2 = estimate_effect(s2, matrix, 0.0, config)
+        e1 = estimate_effect(s1, config, 0.0)
+        e2 = estimate_effect(s2, config, 0.0)
         assert e2.beta_hat == pytest.approx(e1.beta_hat, abs=1e-10)
         assert e2.mu1_hat == pytest.approx(e1.mu1_hat + 100.0, abs=1e-8)
         assert e2.mu0_hat == pytest.approx(e1.mu0_hat + 100.0, abs=1e-8)
@@ -236,7 +235,7 @@ class TestEstimateEffect:
         config = EstimatorConfig()
         surface = fit_outcome_surface(matrix, treatments, outcomes, config)
         with pytest.raises(EffectiveSupportError):
-            estimate_effect(surface, matrix, 5.0, config)
+            estimate_effect(surface, config, 5.0)
 
     def test_weight_locality(self):
         matrix, treatments, outcomes = simulated_static_trial(n=2000)
@@ -250,7 +249,7 @@ class TestEstimateEffect:
         matrix, treatments, outcomes = simulated_static_trial(n=500)
         config = EstimatorConfig()
         surface = fit_outcome_surface(matrix, treatments, outcomes, config)
-        est = estimate_effect(surface, matrix, 0.0, config)
+        est = estimate_effect(surface, config, 0.0)
         assert est.eff_n_treated + est.eff_n_untreated == pytest.approx(500.0, rel=1e-12)
 
 
@@ -260,10 +259,10 @@ class TestDeltaMethod:
         config = EstimatorConfig()
         surface = fit_outcome_surface(matrix, treatments, outcomes, config)
         w = gaussian_kernel_weights(matrix.focal_shifted, 0.0, config.bandwidth)
-        preds = arm_predictions(surface, matrix)
+        preds = arm_predictions(surface)
         c = (preds.X1 - preds.X0).T @ w
         expected = math.sqrt(float(c @ surface.fit.cov @ c))
-        se = estimate_effect(surface, matrix, 0.0, config).se
+        se = estimate_effect(surface, config, 0.0).se
         assert se == pytest.approx(expected, rel=1e-12)
 
     def test_zero_covariance_gives_zero_se(self):
@@ -271,7 +270,7 @@ class TestDeltaMethod:
         config = EstimatorConfig()
         surface = fit_outcome_surface(matrix, treatments, outcomes, config)
         surface.fit.cov = np.zeros_like(surface.fit.cov)
-        assert estimate_effect(surface, matrix, 0.0, config).se == 0.0
+        assert estimate_effect(surface, config, 0.0).se == 0.0
 
     @pytest.mark.parametrize("family", [GAUSSIAN, LOGIT, CLOGLOG])
     def test_gradient_matches_finite_differences(self, family):
@@ -284,7 +283,7 @@ class TestDeltaMethod:
         config = EstimatorConfig(family=family)
         surface = fit_outcome_surface(matrix, treatments, outcomes, config)
         w = gaussian_kernel_weights(matrix.focal_shifted, 0.0, config.bandwidth)
-        preds = arm_predictions(surface, matrix)
+        preds = arm_predictions(surface)
         X0, X1 = preds.X0, preds.X1
 
         def functional(theta):
@@ -312,16 +311,16 @@ class TestEffectCurve:
         matrix, treatments, outcomes = simulated_static_trial(n=300)
         config = EstimatorConfig()
         surface = fit_outcome_surface(matrix, treatments, outcomes, config)
-        curve = effect_curve(surface, matrix, np.array([0.0]), config)
-        single = estimate_effect(surface, matrix, 0.0, config)
+        curve = effect_curve(surface, config, np.array([0.0]))
+        single = estimate_effect(surface, config, 0.0)
         assert len(curve.estimates) == 1
         assert curve.estimates[0].beta_hat == single.beta_hat
         # a multi-point grid gives, field for field, the single-point answers
         grid = np.array([-0.1, 0.0, 7.0, 0.15])
-        curve = effect_curve(surface, matrix, grid, config)
+        curve = effect_curve(surface, config, grid)
         assert [r for r, _ in curve.skipped] == [7.0]
         assert curve.estimates == [
-            estimate_effect(surface, matrix, r, config) for r in (-0.1, 0.0, 0.15)
+            estimate_effect(surface, config, r) for r in (-0.1, 0.0, 0.15)
         ]
 
     def test_grid_order_invariance(self):
@@ -329,8 +328,8 @@ class TestEffectCurve:
         config = EstimatorConfig()
         surface = fit_outcome_surface(matrix, treatments, outcomes, config)
         grid = np.array([-0.05, 0.0, 0.1])
-        fwd = effect_curve(surface, matrix, grid, config)
-        rev = effect_curve(surface, matrix, grid[::-1], config)
+        fwd = effect_curve(surface, config, grid)
+        rev = effect_curve(surface, config, grid[::-1])
         assert sorted(e.beta_hat for e in fwd.estimates) == sorted(
             e.beta_hat for e in rev.estimates
         )
@@ -339,7 +338,7 @@ class TestEffectCurve:
         matrix, treatments, outcomes = simulated_static_trial(n=300)
         config = EstimatorConfig()
         surface = fit_outcome_surface(matrix, treatments, outcomes, config)
-        curve = effect_curve(surface, matrix, np.array([0.0, 7.0]), config)
+        curve = effect_curve(surface, config, np.array([0.0, 7.0]))
         assert len(curve.estimates) == 1
         assert len(curve.skipped) == 1 and curve.skipped[0][0] == 7.0
 
@@ -574,12 +573,12 @@ class TestCurveMatchesPointwise:
         surface = fit_outcome_surface(matrix, treatments, outcomes, config)
         grid = np.array(inside + outside)
         np.random.default_rng(seed).shuffle(grid)
-        curve = effect_curve(surface, matrix, grid, config)
+        curve = effect_curve(surface, config, grid)
 
         expected, skipped = [], []
         for r in grid.tolist():
             try:
-                expected.append(estimate_effect(surface, matrix, r, config))
+                expected.append(estimate_effect(surface, config, r))
             except EffectiveSupportError as exc:
                 skipped.append((r, str(exc)))
         assert curve.skipped == skipped
@@ -612,13 +611,13 @@ class TestCurveMatchesPointwise:
             if far:
                 grid[i] = local.choice([-9.0, 3.0])
         grid[2 * c : 3 * c] = 12.0
-        curve = effect_curve(surface, matrix, grid, config)
+        curve = effect_curve(surface, config, grid)
 
-        focal, effect = matrix.focal_shifted, arm_predictions(surface, matrix).effect
+        focal, effect = matrix.focal_shifted, arm_predictions(surface).effect
         expected, skipped, betas = [], [], []
         for r in grid.tolist():
             try:
-                expected.append(estimate_effect(surface, matrix, r, config))
+                expected.append(estimate_effect(surface, config, r))
             except EffectiveSupportError as exc:
                 skipped.append((r, str(exc)))
             else:
@@ -692,9 +691,9 @@ class TestDenseDesignEquivalence:
         )
         assert surface.fit.theta.tobytes() == fit.theta.tobytes()
         assert surface.fit.cov.tobytes() == fit.cov.tobytes()
-        assert estimate_effect(surface, matrix, r, config) == estimate
-        # The designs replayed on the matrix are the dense ones, bit for bit.
-        preds = arm_predictions(surface, matrix)
+        assert estimate_effect(surface, config, r) == estimate
+        # The designs evaluated on the fitted rows are the dense ones, bit for bit.
+        preds = arm_predictions(surface)
         assert preds.X0.shape == X0.shape and preds.X0.tobytes() == X0.tobytes()
         assert preds.X1.shape == X1.shape and preds.X1.tobytes() == X1.tobytes()
 
@@ -715,12 +714,12 @@ def test_nonfocal_version_counts_once_whatever_its_thresholds():
     assert np.array_equal(dropped.focal_shifted, matrix.focal_shifted)
     full = fit_outcome_surface(matrix, treatments, outcomes, config)
     fewer = fit_outcome_surface(dropped, treatments, outcomes, config)
-    assert full.design.nonfocal_columns == (0, 3) and fewer.design.nonfocal_columns == (0, 1)
-    assert full.design.pca_result.retained == 1
+    assert full.nonfocal_columns == (0, 3) and fewer.nonfocal_columns == (0, 1)
+    assert full.pca_result.retained == 1
     assert full.fit.theta.tobytes() == fewer.fit.theta.tobytes()
     assert full.fit.cov.tobytes() == fewer.fit.cov.tobytes()
-    estimate = estimate_effect(full, matrix, 0.0, config)
-    assert estimate == estimate_effect(fewer, dropped, 0.0, config)
+    estimate = estimate_effect(full, config, 0.0)
+    assert estimate == estimate_effect(fewer, config, 0.0)
     # The dense design residualized every column, which weighted version 0
     # three times and moved the retained component.
     dense = matrix.raw[:, matrix.version_index] - matrix.thresholds[None, :]
@@ -728,51 +727,7 @@ def test_nonfocal_version_counts_once_whatever_its_thresholds():
     assert abs(weighted.beta_hat - estimate.beta_hat) > 1e-3
 
 
-def copy_of(matrix: CounterfactualRiskMatrix) -> CounterfactualRiskMatrix:
-    return CounterfactualRiskMatrix(
-        **{f.name: getattr(matrix, f.name).copy() for f in dataclasses.fields(matrix)}
-    )
-
-
-def curve_bits(curve) -> tuple:
-    """A curve's r, beta, skipped points and full estimates, compared bit for bit."""
-    return curve.r.tobytes(), curve.beta.tobytes(), curve.skipped, repr(curve.estimates)
-
-
 class TestFittedRowsHandoff:
-    """``matrix=None`` evaluates on the terms the fit built, as a copy of its matrix would."""
-
-    GRID = np.linspace(-0.4, 1.2, 33)  # the last points lie beyond the kernel's support
-
-    @pytest.mark.parametrize("family", [GAUSSIAN, LOGIT])
-    @pytest.mark.parametrize("n_versions", [1, 2, 3, 4])
-    def test_equals_evaluation_on_a_copy(self, n_versions, family):
-        versions = list(range(n_versions))
-        thresholds = [0.1 + 0.04 * v for v in versions]
-        matrix, treatments, outcomes = versioned_matrix(40 + n_versions, versions, thresholds)
-        if family == LOGIT:
-            outcomes = (outcomes > 1.0).astype(float)
-        config = EstimatorConfig(family=family, bandwidth=0.05)
-        surface = fit_outcome_surface(matrix, treatments, outcomes, config)
-        handoff = effect_curve(surface, None, self.GRID, config)
-        assert handoff.skipped and handoff.r.size
-        copy = copy_of(matrix)
-        assert curve_bits(handoff) == curve_bits(effect_curve(surface, copy, self.GRID, config))
-        point = estimate_effect(surface, None, 0.0, config)
-        assert repr(point) == repr(estimate_effect(surface, copy, 0.0, config))
-        mine, theirs = arm_predictions(surface, None), arm_predictions(surface, copy)
-        for f in dataclasses.fields(mine):
-            assert getattr(mine, f.name).tobytes() == getattr(theirs, f.name).tobytes(), f.name
-
-        # Editing the matrix after the fit moves evaluations on the matrix
-        # only: the handoff reads the fit's own arrays.
-        matrix.raw *= 0.5
-        assert curve_bits(effect_curve(surface, None, self.GRID, config)) == curve_bits(handoff)
-        edited = effect_curve(surface, matrix, self.GRID, config)
-        fresh = effect_curve(surface, copy_of(matrix), self.GRID, config)
-        assert curve_bits(edited) == curve_bits(fresh)
-        assert curve_bits(edited) != curve_bits(handoff)
-
     def test_terms_are_read_only(self):
         matrix, treatments, outcomes = versioned_matrix(7, [0, 1], [0.1, 0.2])
         surface = fit_outcome_surface(matrix, treatments, outcomes, EstimatorConfig())
@@ -786,31 +741,16 @@ class TestFittedRowsHandoff:
 # Last in the module: these draw from the shared generator, and placing them
 # here leaves every earlier test's data as it was.
 class TestMatrixInput:
-    def test_answer_follows_matrix_content_not_identity(self):
-        matrix, treatments, outcomes = simulated_static_trial(n=400)
-        config = EstimatorConfig()
-        surface = fit_outcome_surface(matrix, treatments, outcomes, config)
-        before = estimate_effect(surface, matrix, 0.0, config)
-        matrix.raw = matrix.raw * 0.5  # same object, new content
-        fresh = static_matrix(matrix.focal_shifted)
-        after = estimate_effect(surface, matrix, 0.0, config)
-        assert after == estimate_effect(surface, fresh, 0.0, config)
-        assert after.beta_hat != before.beta_hat
-
-    def test_matrix_with_fewer_columns_rejected(self):
-        table, matrix = two_column_matrix()
-        treatments = (matrix.focal_shifted >= 0).astype(int)
-        outcomes = rng.standard_normal(len(table))
-        surface = fit_outcome_surface(matrix, treatments, outcomes, EstimatorConfig())
-        with pytest.raises(ValidationError, match="version structure"):
-            arm_predictions(surface, static_matrix(matrix.focal_shifted))
-
     def test_lazy_curve_ignores_later_matrix_edit(self):
+        # Editing the matrix after the fit moves no evaluation: the surface
+        # reads the terms the fit built, not the matrix.
         matrix, treatments, outcomes = simulated_static_trial(n=400)
         config = EstimatorConfig()
         surface = fit_outcome_surface(matrix, treatments, outcomes, config)
         grid = np.array([-0.05, 0.0, 0.05])
-        expected = [estimate_effect(surface, matrix, r, config) for r in grid]
-        curve = effect_curve(surface, matrix, grid, config)
+        expected = [estimate_effect(surface, config, r) for r in grid]
+        curve = effect_curve(surface, config, grid)
         matrix.raw *= 0.5  # in place, before the estimates are first read
         assert curve.estimates == expected
+        assert effect_curve(surface, config, grid).estimates == expected
+        assert [estimate_effect(surface, config, r) for r in grid] == expected

@@ -167,7 +167,7 @@ class TestRunScenario:
         trial = run_scenario(cfg, SeedStream(0, (1,)))
         surface = fit_outcome_surface(trial.matrix, trial.treatment, trial.outcome, cfg.estimator)
         grid = default_grid(trial.matrix.focal_shifted, 41)
-        curve = effect_curve(surface, trial.matrix, grid, cfg.estimator)
+        curve = effect_curve(surface, cfg.estimator, grid)
         focal = trial.matrix.focal_shifted
         errs = []
         for e in curve.estimates:

@@ -347,7 +347,7 @@ def test_events_and_curve_files_and_evaluation_of_a_run_match_the_per_row_writer
 
     config = trial.config.estimator
     surface = fit_outcome_surface(trial.matrix, trial.treatment, trial.outcome, config)
-    curve = effect_curve(surface, trial.matrix, default_grid(trial.matrix.focal_shifted), config)
+    curve = effect_curve(surface, config, default_grid(trial.matrix.focal_shifted))
     assert curve.estimates
     write_curve_csv(curve, tmp_path / "curve.csv")
     reference_write_curve_csv(curve, tmp_path / "reference_curve.csv")

@@ -65,3 +65,20 @@ def test_run_scenario_calls_the_rebound_sample_cohort(monkeypatch):
     monkeypatch.setattr(cohort, "sample_cohort", spy)
     trial = harness.run_scenario(harness.scenario_preset(1, n_patients=600))
     assert len(calls) == 1 and trial.n == 600
+
+
+def test_traced_curve_points_read_the_grid_argument():
+    # The tracer counts an effect curve's points from its third positional
+    # argument, so the grid must stay there at every traced call site.
+    names = ("adaptation", "cli", "cohort", "estimator", "harness", "outcomes", "risk_engine")
+    recorder = tracer.Tracer({name: _module(name) for name in names})
+    harness = _module("harness")
+    recorder.install()
+    try:
+        harness.run_scenario(harness.scenario_preset(3, n_patients=700))
+    finally:
+        recorder.uninstall()
+    totals = recorder.take()
+    calls = totals.calls["estimator.effect_curve"]
+    assert calls > 0
+    assert totals.counts["estimator.effect_curve.points"] == 101 * calls
