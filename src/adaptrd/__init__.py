@@ -43,13 +43,11 @@ from .errors import (
     ValidationError,
 )
 from .estimator import (
-    ArmPredictions,
     ComparatorInputs,
     EffectEstimate,
     EstimatorConfig,
     FittedOutcomeSurface,
     aipw_ate,
-    arm_predictions,
     comparator_inputs,
     default_grid,
     effect_curve,

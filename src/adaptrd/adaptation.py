@@ -25,7 +25,7 @@ from .errors import (
     InsufficientDataError,
     ValidationError,
 )
-from .numerics import CLOGLOG, GlmSpec, fit_glm, linear_quantiles, normal_cdf
+from .numerics import CLOGLOG, GlmSpec, fit_glm, linear_quantiles, normal_quantile
 from .risk_engine import (
     GLM_UNSTRATIFIED,
     PCE_STRATIFIED,
@@ -133,23 +133,14 @@ def threshold_for_rate(observed_risks: np.ndarray, target_rate: float) -> float:
 
 
 def nnt_to_cohens_d(nnt: float) -> float:
-    """Solve NNT = 1 / (2 Phi(d / sqrt 2) - 1) for d by bisection."""
+    """The d solving NNT = 1 / (2 Phi(d / sqrt 2) - 1), in closed form.
+
+    The quantile is taken in the lower tail, where (1 - 1/NNT) / 2 keeps its
+    digits as NNT nears 1, so d is finite for every float NNT above 1.
+    """
     if not nnt > 1.0:
         raise ConfigError("NNT must exceed 1")
-    lo, hi = 1e-8, 10.0
-
-    def implied_nnt(d: float) -> float:
-        return 1.0 / (2.0 * normal_cdf(d / math.sqrt(2.0)) - 1.0)
-
-    if implied_nnt(hi) > nnt:
-        raise ConfigError(f"NNT {nnt} implies d above the search window")
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if implied_nnt(mid) > nnt:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return -math.sqrt(2.0) * normal_quantile((1.0 - 1.0 / nnt) / 2.0)
 
 
 def pooled_outcome_sd(outcomes: np.ndarray, treatments: np.ndarray) -> float:

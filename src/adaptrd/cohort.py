@@ -227,7 +227,8 @@ def parse_numbers(texts: list, kind, name: str, locate: Locate) -> np.ndarray:
         raise
 
 
-def _categories(texts: list, allowed: tuple, name: str, locate: Locate) -> np.ndarray:
+def parse_categories(texts: list, allowed: tuple, name: str, locate: Locate) -> np.ndarray:
+    """One column's field texts, each one of ``allowed``; the first other names its row."""
     if not set(texts) <= set(allowed):
         i = next(i for i, text in enumerate(texts) if text not in allowed)
         raise IngestionError(locate(i, f"{name}: {texts[i]!r} is not one of {', '.join(allowed)}"))
@@ -245,12 +246,12 @@ def parse_covariates(columns: dict, locate: Locate) -> CohortTable:
         return parse_numbers(columns[name], float, name, locate)
 
     def flags(name):
-        return _categories(columns[name], ("0", "1"), name, locate) == "1"
+        return parse_categories(columns[name], ("0", "1"), name, locate) == "1"
 
     return CohortTable(
         age=numbers("age"),
-        female=_categories(columns["sex"], ("female", "male"), "sex", locate) == "female",
-        race=_categories(columns["race"], RACES, "race", locate).astype("<U5"),
+        female=parse_categories(columns["sex"], ("female", "male"), "sex", locate) == "female",
+        race=parse_categories(columns["race"], RACES, "race", locate).astype("<U5"),
         systolic_bp=numbers("systolic_bp"),
         total_chol=numbers("total_chol"),
         hdl_chol=numbers("hdl_chol"),

@@ -14,7 +14,7 @@ from dataclasses import MISSING, dataclass, field, fields
 from functools import cache
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Union, get_origin, get_type_hints
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .adaptation import (
     FixedThreshold,
@@ -61,8 +61,13 @@ class ScenarioConfig:
             raise ConfigError("n_patients must be at least 1")
         if not 0.0 < self.initial_threshold < 1.0:
             raise ConfigError("initial threshold must lie in (0, 1)")
-        for key in ("threshold_strategy", "model_strategy"):
+        for key, union in (
+            ("threshold_strategy", ThresholdStrategy), ("model_strategy", ModelStrategy)
+        ):
             strategy = getattr(self, key)
+            if not isinstance(strategy, get_args(union)):
+                kinds = ", ".join(cls.__name__ for cls in get_args(union))
+                raise ConfigError(f"{key} must be one of {kinds}, got {strategy!r}")
             if isinstance(strategy, UpdateCadence) and strategy.warmup >= self.n_patients:
                 raise ConfigError(
                     f"{key}.warmup must be below n_patients={self.n_patients}, "

@@ -92,64 +92,39 @@ class EffectEstimate:
     low_support: bool = False
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class FittedOutcomeSurface:
-    """Fitted GLM, the design's pieces, the logged treatments and the fitted rows' terms.
+    """Fitted GLM, the design's pieces and both arms' predictions on the fitted rows.
 
     The focal column's shifted risks enter through per-arm natural cubic
     splines. Each non-focal version enters through its first distinct column,
     residualized on the focal one, and the residuals through the retained
-    principal components. ``terms`` are (focal risks, untreated basis,
-    treated basis, PC scores) of every fitted patient, read-only, so an edit
-    of the matrix after the fit moves no evaluation.
+    principal components. ``X0`` and ``X1`` are every fitted patient's design
+    row forced to each arm, with the means and link derivatives they give.
+    Every array, ``fit.theta`` and ``fit.cov`` included, is read-only, so no
+    in-place edit after the fit moves an evaluation.
     """
 
     fit: GlmFit
-    treatments: np.ndarray
-    terms: tuple[np.ndarray, ...] = field(repr=False)
+    treated: np.ndarray  # logged arm of each fitted patient
+    focal: np.ndarray
+    X0: np.ndarray = field(repr=False)
+    X1: np.ndarray = field(repr=False)
+    mu0: np.ndarray = field(repr=False)
+    mu1: np.ndarray = field(repr=False)
+    effect: np.ndarray = field(repr=False)  # mu1 - mu0
+    d0: np.ndarray = field(repr=False)
+    d1: np.ndarray = field(repr=False)
     nonfocal_columns: tuple[int, ...]  # each non-focal version's first distinct column
     pca_result: PcaResult
     basis_untreated: SplineBasis
     basis_treated: SplineBasis
 
 
-@dataclass(frozen=True)
-class ArmPredictions:
-    """Both arms' designs, means and link derivatives for every patient."""
-
-    focal: np.ndarray
-    X0: np.ndarray
-    X1: np.ndarray
-    mu0: np.ndarray
-    mu1: np.ndarray
-    effect: np.ndarray  # mu1 - mu0
-    d0: np.ndarray
-    d1: np.ndarray
-
-
-def arm_predictions(surface: FittedOutcomeSurface) -> ArmPredictions:
-    """Evaluate the surface on its fitted rows with every patient forced to each arm."""
-    focal, *terms = surface.terms
-    X0 = _build_design(np.zeros(focal.size), *terms)
-    X1 = _build_design(np.ones(focal.size), *terms)
-    family = surface.fit.family
-    eta0 = X0 @ surface.fit.theta
-    eta1 = X1 @ surface.fit.theta
-    mu0, d0 = mean_and_slope(eta0, family)
-    mu1, d1 = mean_and_slope(eta1, family)
-    return ArmPredictions(
-        focal=focal, X0=X0, X1=X1, mu0=mu0, mu1=mu1, effect=mu1 - mu0, d0=d0, d1=d1
-    )
-
-
-def _build_design(arm_flags, b0, b1, scores) -> np.ndarray:
-    """Design rows from the per-arm spline bases evaluated at the focal risks."""
-    cols = [
-        np.ones(arm_flags.size),
-        b0 * (1.0 - arm_flags)[:, None],
-        arm_flags,
-        b1 * arm_flags[:, None],
-    ]
+def _arm_design(arm: float, b0, b1, scores) -> np.ndarray:
+    """Every patient's design row with the arm indicator set to ``arm``."""
+    n = scores.shape[0]
+    cols = [np.ones(n), b0 * (1.0 - arm), np.full(n, arm), b1 * arm]
     if scores.shape[1] > 0:
         cols.append(scores)
     return np.column_stack(cols)
@@ -181,7 +156,10 @@ def fit_outcome_surface(
     n = matrix.n_patients
     if treatments.shape != (n,) or outcomes.shape != (n,):
         raise ValidationError("treatments/outcomes must align with the matrix rows")
-    n1 = int(np.sum(treatments == 1))
+    if not np.isin(treatments, (0, 1)).all():
+        raise ValidationError("treatments must all be 0 or 1")
+    treated = treatments == 1
+    n1 = int(np.count_nonzero(treated))
     _require_arm_sizes(n - n1, n1)
     focal_col = matrix.focal_index
     focal = matrix.focal_shifted
@@ -197,61 +175,63 @@ def fit_outcome_surface(
     )
     resid = np.empty((n, len(nonfocal)))
     for i, d in enumerate(nonfocal):
-        resid[:, i] = residualize(matrix.shifted_column(d), focal).residuals
+        resid[:, i] = residualize(matrix.shifted_column(d), focal)
     pca_result = pca(resid, config.pca_variance)
-    basis_untreated = choose_knots(focal[treatments == 0], config.spline_df)
-    basis_treated = choose_knots(focal[treatments == 1], config.spline_df)
+    basis_untreated = choose_knots(focal[~treated], config.spline_df)
+    basis_treated = choose_knots(focal[treated], config.spline_df)
     terms = (
-        focal,
         natural_cubic_basis(focal, basis_untreated),
         natural_cubic_basis(focal, basis_treated),
         pca_result.transform(resid),
     )
-    for values in terms:
-        values.flags.writeable = False
-    X = _build_design(treatments.astype(float), *terms[1:])
+    X0, X1 = _arm_design(0.0, *terms), _arm_design(1.0, *terms)
+    # Each logged row is its own arm's row, bit for bit.
+    X = np.where(treated[:, None], X1, X0)
     fit = fit_glm(GlmSpec(family=config.family, design=X, response=outcomes))
+    mu0, d0 = mean_and_slope(X0 @ fit.theta, fit.family)
+    mu1, d1 = mean_and_slope(X1 @ fit.theta, fit.family)
+    arrays = (treated, focal, X0, X1, mu0, mu1, mu1 - mu0, d0, d1)
+    for values in (fit.theta, fit.cov, *arrays):
+        values.flags.writeable = False
     return FittedOutcomeSurface(
-        fit, treatments.astype(int), terms, nonfocal, pca_result, basis_untreated, basis_treated
+        fit, *arrays, nonfocal, pca_result, basis_untreated, basis_treated
     )
 
 
-def _effect_gradient(preds: ArmPredictions, weights: np.ndarray) -> np.ndarray:
+def _effect_gradient(surface: FittedOutcomeSurface, weights: np.ndarray) -> np.ndarray:
     """Gradient in theta of the kernel-weighted effect functional.
 
     The kernel weights are fixed functions of the logged risks, so the
     gradient chains only through the inverse link at each patient's two
     counterfactual design rows.
     """
-    return preds.X1.T @ (weights * preds.d1) - preds.X0.T @ (weights * preds.d0)
+    return surface.X1.T @ (weights * surface.d1) - surface.X0.T @ (weights * surface.d0)
 
 
 def _effect_at(
     surface: FittedOutcomeSurface,
-    preds: ArmPredictions,
     r: float,
     weights: np.ndarray,
     config: EstimatorConfig,
     z: float,
 ) -> EffectEstimate:
     """Local effect at ``r`` from its kernel weights, with the delta-method SE and ``z``-Wald CI."""
-    beta = float(weights @ preds.effect)
-    grad = _effect_gradient(preds, weights)
+    beta = float(weights @ surface.effect)
+    grad = _effect_gradient(surface, weights)
     quad = float(grad @ surface.fit.cov @ grad)
     if quad < -1e-10:
         raise ValidationError(f"covariance quadratic form is negative: {quad}")
     se = float(np.sqrt(max(quad, 0.0)))
-    n = preds.focal.size
-    treated = surface.treatments == 1
-    eff_n1 = float(weights[treated].sum() * n)
-    eff_n0 = float(weights[~treated].sum() * n)
+    n = surface.focal.size
+    eff_n1 = float(weights[surface.treated].sum() * n)
+    eff_n0 = float(weights[~surface.treated].sum() * n)
     return EffectEstimate(
         r=float(r),
         beta_hat=beta,
         se=se,
         ci=(beta - z * se, beta + z * se),
-        mu1_hat=float(weights @ preds.mu1),
-        mu0_hat=float(weights @ preds.mu0),
+        mu1_hat=float(weights @ surface.mu1),
+        mu0_hat=float(weights @ surface.mu0),
         eff_n_treated=eff_n1,
         eff_n_untreated=eff_n0,
         low_support=min(eff_n0, eff_n1) < config.min_effective,
@@ -263,9 +243,8 @@ def estimate_effect(
 ) -> EffectEstimate:
     """Kernel-weighted local effect and arm means at shifted risk ``r`` on the fitted rows."""
     z = normal_quantile(0.5 + config.confidence / 2.0)
-    preds = arm_predictions(surface)
-    weights = gaussian_kernel_weights(preds.focal, r, config.bandwidth)
-    return _effect_at(surface, preds, r, weights, config, z)
+    weights = gaussian_kernel_weights(surface.focal, r, config.bandwidth)
+    return _effect_at(surface, r, weights, config, z)
 
 
 # Grid points whose kernel weights are built together: the block is this
@@ -297,17 +276,16 @@ class EffectCurve:
     beta: np.ndarray
     skipped: list[tuple[float, str]]
     surface: FittedOutcomeSurface = field(repr=False)
-    preds: ArmPredictions = field(repr=False)
     config: EstimatorConfig = field(repr=False)
 
     @functools.cached_property
     def estimates(self) -> list[EffectEstimate]:
         z = normal_quantile(0.5 + self.config.confidence / 2.0)
         out = []
-        for chunk, rows in _kernel_chunks(self.preds.focal, self.r, self.config.bandwidth):
+        for chunk, rows in _kernel_chunks(self.surface.focal, self.r, self.config.bandwidth):
             # Every point of r is supported, so each has its row.
             for r, weights in zip(chunk.tolist(), rows.weights):
-                out.append(_effect_at(self.surface, self.preds, r, weights, self.config, z))
+                out.append(_effect_at(self.surface, r, weights, self.config, z))
         return out
 
 
@@ -315,23 +293,22 @@ def effect_curve(
     surface: FittedOutcomeSurface, config: EstimatorConfig, grid: np.ndarray
 ) -> EffectCurve:
     """Evaluate the effect across a grid on the fitted rows; unsupported points are reported."""
-    preds = arm_predictions(surface)
     rs = []
     betas = []
     skipped = []
-    for chunk, rows in _kernel_chunks(preds.focal, np.asarray(grid, dtype=float), config.bandwidth):
+    grid = np.asarray(grid, dtype=float)
+    for chunk, rows in _kernel_chunks(surface.focal, grid, config.bandwidth):
         rs.append(chunk[rows.supported])
         # A stack of (1, m) by (m,) products takes the same dot per row as
         # ``weights @ effect``; a single matrix-vector product over the
         # block would sum in another order and move the last bits.
-        betas.append((rows.weights[:, None, :] @ preds.effect)[:, 0])
+        betas.append((rows.weights[:, None, :] @ surface.effect)[:, 0])
         skipped.extend(rows.skipped)
     return EffectCurve(
         r=np.concatenate(rs) if rs else np.empty(0),
         beta=np.concatenate(betas) if betas else np.empty(0),
         skipped=skipped,
         surface=surface,
-        preds=preds,
         config=config,
     )
 

@@ -233,17 +233,10 @@ def run_scenario(config: ScenarioConfig, stream: Optional[SeedStream] = None) ->
 
 
 def _nnt_target_d(strategy):
-    """Cohen's d of an NNT target, once per run: the same at every update.
-
-    An NNT with no d in the search window gives the error's message instead,
-    which each NNT update then reports where it would have computed d.
-    """
+    """Cohen's d of an NNT target, once per run: the same at every update."""
     if not isinstance(strategy, NntTargetThreshold):
         return None
-    try:
-        return nnt_to_cohens_d(strategy.nnt)
-    except ConfigError as exc:
-        return str(exc)
+    return nnt_to_cohens_d(strategy.nnt)
 
 
 def _apply_threshold_update(
@@ -286,8 +279,6 @@ def _nnt_threshold(
         (r + current_threshold, beta) for r, beta in zip(curve.r.tolist(), curve.beta.tolist())
     ]
     d_curve = cohens_d_curve(beta_curve, sd)
-    if isinstance(target_d, str):
-        raise ConfigError(target_d)
     new = threshold_for_nnt(d_curve, target_d, current_threshold, strategy.smoothing)
     return new, f"nnt={strategy.nnt!r} target_d={target_d!r} pooled_sd={sd!r}"
 
@@ -501,11 +492,13 @@ def run_replications(config: ScenarioConfig, count: int, workers: int = 1) -> Re
 def scenario_preset(scenario_id: int, seed: int = 0, **overrides) -> ScenarioConfig:
     """The bundled ``presets/scenarioN.json`` config with ``seed`` and field overrides.
 
-    ``warmup`` and ``update_every`` are the defaults of each adaptive strategy's cadence.
+    ``warmup`` and ``update_every`` are the defaults of each adaptive strategy's
+    cadence. An override given as a dict replaces that section of the document,
+    as in a config file, and is parsed with it.
     """
     payload = preset_payload(f"scenario{scenario_id}")
     payload["seed"] = seed
-    for key in ("warmup", "update_every"):
-        if key in overrides:
+    for key, value in list(overrides.items()):
+        if key in ("warmup", "update_every") or isinstance(value, dict):
             payload[key] = overrides.pop(key)
     return dataclasses.replace(parse_config(payload), **overrides)

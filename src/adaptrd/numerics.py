@@ -408,17 +408,11 @@ def _positive_cube(t: np.ndarray) -> np.ndarray:
 # Residualization and PCA
 
 
-class ResidualizeResult(NamedTuple):
-    residuals: np.ndarray
-    intercept: float
-    slope: float
-
-
-def residualize(column: np.ndarray, against: np.ndarray) -> ResidualizeResult:
+def residualize(column: np.ndarray, against: np.ndarray) -> np.ndarray:
     """Least-squares residuals of ``column`` on an intercept plus ``against``.
 
     If ``against`` is (numerically) constant, falls back to centering the
-    column, with slope 0.
+    column.
     """
     column = np.asarray(column, dtype=float)
     against = np.asarray(against, dtype=float)
@@ -428,11 +422,10 @@ def residualize(column: np.ndarray, against: np.ndarray) -> ResidualizeResult:
     c_mean = float(column.mean())
     var = float(np.mean((against - a_mean) ** 2))
     if var <= 1e-24:
-        return ResidualizeResult(column - c_mean, c_mean, 0.0)
+        return column - c_mean
     slope = float(np.mean((against - a_mean) * (column - c_mean)) / var)
     intercept = c_mean - slope * a_mean
-    resid = column - (intercept + slope * against)
-    return ResidualizeResult(resid, intercept, slope)
+    return column - (intercept + slope * against)
 
 
 @dataclass

@@ -7,8 +7,8 @@ The trial writer formats whole columns at once.
 
 ``read_trial_csv`` is strict: it reads columns by header name and ignores
 extra ones, and a missing column, a row whose field count differs from the
-header's, a field that does not parse or a sex, race or 0/1 flag outside its
-categories raises ``IngestionError`` naming the line.
+header's, a field that does not parse or a sex, race, treatment or 0/1 flag
+outside its categories raises ``IngestionError`` naming the line.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .cohort import (
     CohortTable,
     covariate_columns,
     csv_numbers,
+    parse_categories,
     parse_covariates,
     parse_numbers,
     read_csv_columns,
@@ -96,7 +97,10 @@ def read_trial_csv(path) -> LoggedTrial:
     arrays = {
         name: parse_numbers(columns[name], _KINDS[name], name, _trial_line)
         for name in _ARRAY_COLUMNS
+        if name != "treatment"
     }
+    arms = parse_categories(columns["treatment"], ("0", "1"), "treatment", _trial_line)
+    arrays["treatment"] = (arms == "1").astype(int)
     return LoggedTrial(parse_covariates(columns, _trial_line), **arrays)
 
 

@@ -136,14 +136,15 @@ def pce_risk(lp: float, s0: float, lp_bar: float) -> float:
 
 
 def dense_design_reference(shifted, focal_index, treatments, outcomes, config, r):
-    """Outcome-surface fit, effect at ``r`` and both arms' designs on the dense n x D design.
+    """Outcome-surface fit, effect at ``r`` and both arms' predictions on the dense n x D design.
 
     ``shifted`` holds one column per distinct (model version, threshold)
     pair. Every non-focal column is residualized on the focal one and the
     residuals go through PCA, which is how the design was built before the
     matrix stored one raw-risk column per model version. The numerical
     steps are the package's own, so a comparison with the package is bitwise
-    and tests only which columns enter the design.
+    and tests only which columns enter the design. The arms' designs, means
+    and link derivatives come back by the surface's field names.
     """
     from adaptrd.estimator import EffectEstimate
     from adaptrd.numerics import (
@@ -161,7 +162,7 @@ def dense_design_reference(shifted, focal_index, treatments, outcomes, config, r
     n = shifted.shape[0]
     focal = shifted[:, focal_index]
     residuals = [
-        residualize(shifted[:, d], focal).residuals
+        residualize(shifted[:, d], focal)
         for d in range(shifted.shape[1])
         if d != focal_index
     ]
@@ -201,7 +202,7 @@ def dense_design_reference(shifted, focal_index, treatments, outcomes, config, r
         eff_n_untreated=eff_n0,
         low_support=min(eff_n0, eff_n1) < config.min_effective,
     )
-    return fit, estimate, X0, X1
+    return fit, estimate, {"X0": X0, "X1": X1, "mu0": mu0, "mu1": mu1, "d0": d0, "d1": d1}
 
 
 def trial_columns_from_events(trial):

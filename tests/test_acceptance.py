@@ -16,7 +16,6 @@ from adaptrd.adaptation import FixedThreshold, NoModelUpdate, nnt_to_cohens_d, s
 from adaptrd.estimator import (
     EstimatorConfig,
     _effect_gradient,
-    arm_predictions,
     default_grid,
     effect_curve,
     estimate_effect,
@@ -149,9 +148,8 @@ def test_criterion_05_numerics_oracles():
     trial = run_scenario(config)
     surface = fit_outcome_surface(trial.matrix, trial.treatment, trial.outcome, config.estimator)
     w = gaussian_kernel_weights(trial.matrix.focal_shifted, 0.0, 0.02)
-    preds = arm_predictions(surface)
-    grad = _effect_gradient(preds, w)
-    X0, X1 = preds.X0, preds.X1
+    grad = _effect_gradient(surface, w)
+    X0, X1 = surface.X0, surface.X1
 
     def functional(theta):
         return float(w @ (inverse_link(X1 @ theta, GAUSSIAN) - inverse_link(X0 @ theta, GAUSSIAN)))

@@ -305,6 +305,22 @@ class TestEstimateReplay:
         assert code == 2
         assert "line" in capsys.readouterr().err
 
+    def test_treatment_outside_zero_one_exits_2(self, tmp_path, capsys):
+        # Read as a number, a 2 entered the fit's design as an arm indicator of 2.
+        out = tmp_path / "run"
+        run_cli("simulate", "--config", "scenario1", "--out", str(out), *SMALL)
+        trial_path = out / "trial.csv"
+        lines = trial_path.read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[lines[0].split(",").index("treatment")] = "2"
+        lines[1] = ",".join(fields)
+        trial_path.write_text("\n".join(lines) + "\n")
+        code = run_cli("estimate", "--trial", str(trial_path),
+                       "--matrix", str(out / "matrix.csv"), "--out", str(tmp_path / "z"))
+        assert code == 2
+        assert "line 2: treatment: '2' is not one of 0, 1" in capsys.readouterr().err
+        assert not (tmp_path / "z").exists()
+
 
 class TestSameRunCheck:
     """``estimate`` takes a trial file and a matrix file only from one run."""

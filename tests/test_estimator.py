@@ -18,7 +18,6 @@ from adaptrd.estimator import (
     EstimatorConfig,
     _effect_gradient,
     aipw_ate,
-    arm_predictions,
     comparator_inputs,
     default_grid,
     effect_curve,
@@ -34,6 +33,7 @@ from adaptrd.numerics import (
     LOGIT,
     gaussian_kernel_weights,
     inverse_link,
+    mean_and_slope,
 )
 from adaptrd.risk_engine import (
     CounterfactualRiskMatrix,
@@ -110,8 +110,7 @@ class TestFitSurface:
     def test_exact_fit_for_linear_gaussian_outcomes(self):
         matrix, treatments, outcomes = simulated_static_trial(sigma=0.0)
         surface = fit_outcome_surface(matrix, treatments, outcomes, EstimatorConfig())
-        preds = arm_predictions(surface)
-        mu0, mu1 = preds.mu0, preds.mu1
+        mu0, mu1 = surface.mu0, surface.mu1
         fitted = np.where(treatments == 1, mu1, mu0)
         assert np.max(np.abs(fitted - outcomes)) < 1e-6
 
@@ -140,6 +139,12 @@ class TestFitSurface:
             with pytest.raises(InsufficientDataError, match=f"^too few {arm} patients: need at least 10 per arm$"):
                 fit_outcome_surface(matrix, treatments, outcomes, EstimatorConfig())
 
+    def test_treatment_outside_zero_one_rejected(self):
+        matrix, treatments, outcomes = versioned_matrix(3, [0], [0.1])
+        treatments[3] = 2
+        with pytest.raises(ValidationError, match="treatments must all be 0 or 1"):
+            fit_outcome_surface(matrix, treatments, outcomes, EstimatorConfig())
+
     def test_constant_focal_rejected(self):
         matrix = static_matrix(np.zeros(100))
         treatments = np.tile([0, 1], 50)
@@ -152,28 +157,25 @@ class TestPredictArmMeans:
         matrix, treatments, _ = simulated_static_trial(n=300)
         outcomes = 2.0 + 3.0 * treatments + 0.0 * matrix.focal_shifted
         surface = fit_outcome_surface(matrix, treatments, outcomes, EstimatorConfig())
-        preds = arm_predictions(surface)
-        mu0, mu1 = float(preds.mu0[16]), float(preds.mu1[16])
+        mu0, mu1 = float(surface.mu0[16]), float(surface.mu1[16])
         assert mu0 == pytest.approx(2.0, abs=1e-6)
         assert mu1 == pytest.approx(5.0, abs=1e-6)
 
-    def test_logit_all_zero_coefficients(self):
+    def test_logit_arm_means_are_the_inverse_link_of_each_arm_design(self):
         matrix, treatments, _ = simulated_static_trial(n=300)
         outcomes = (rng.uniform(size=300) < 0.5).astype(float)
         surface = fit_outcome_surface(
             matrix, treatments, outcomes, EstimatorConfig(family=LOGIT)
         )
-        surface.fit.theta[:] = 0.0
-        preds = arm_predictions(surface)
-        mu0, mu1 = float(preds.mu0[0]), float(preds.mu1[0])
-        assert (mu0, mu1) == (0.5, 0.5)
+        for X, mu in ((surface.X0, surface.mu0), (surface.X1, surface.mu1)):
+            assert mu.tobytes() == mean_and_slope(X @ surface.fit.theta, LOGIT)[0].tobytes()
 
     def test_treated_patient_observed_arm_matches_fitted_mean(self):
         matrix, treatments, outcomes = simulated_static_trial(n=500)
         config = EstimatorConfig()
         surface = fit_outcome_surface(matrix, treatments, outcomes, config)
         k = int(np.argmax(treatments == 1)) + 1
-        mu1 = float(arm_predictions(surface).mu1[k - 1])
+        mu1 = float(surface.mu1[k - 1])
         design_row = np.concatenate(
             [
                 [1.0],
@@ -259,8 +261,7 @@ class TestDeltaMethod:
         config = EstimatorConfig()
         surface = fit_outcome_surface(matrix, treatments, outcomes, config)
         w = gaussian_kernel_weights(matrix.focal_shifted, 0.0, config.bandwidth)
-        preds = arm_predictions(surface)
-        c = (preds.X1 - preds.X0).T @ w
+        c = (surface.X1 - surface.X0).T @ w
         expected = math.sqrt(float(c @ surface.fit.cov @ c))
         se = estimate_effect(surface, config, 0.0).se
         assert se == pytest.approx(expected, rel=1e-12)
@@ -283,15 +284,14 @@ class TestDeltaMethod:
         config = EstimatorConfig(family=family)
         surface = fit_outcome_surface(matrix, treatments, outcomes, config)
         w = gaussian_kernel_weights(matrix.focal_shifted, 0.0, config.bandwidth)
-        preds = arm_predictions(surface)
-        X0, X1 = preds.X0, preds.X1
+        X0, X1 = surface.X0, surface.X1
 
         def functional(theta):
             return float(
                 w @ (inverse_link(X1 @ theta, family) - inverse_link(X0 @ theta, family))
             )
 
-        grad = _effect_gradient(preds, w)
+        grad = _effect_gradient(surface, w)
         theta = surface.fit.theta
         eps = 1e-6
         scale = float(np.max(np.abs(grad)))
@@ -613,7 +613,7 @@ class TestCurveMatchesPointwise:
         grid[2 * c : 3 * c] = 12.0
         curve = effect_curve(surface, config, grid)
 
-        focal, effect = matrix.focal_shifted, arm_predictions(surface).effect
+        focal, effect = matrix.focal_shifted, surface.effect
         expected, skipped, betas = [], [], []
         for r in grid.tolist():
             try:
@@ -686,16 +686,16 @@ class TestDenseDesignEquivalence:
         config = EstimatorConfig(family=family, pca_variance=pca_variance, bandwidth=0.05)
         surface = fit_outcome_surface(matrix, treatments, outcomes, config)
         dense = matrix.raw[:, matrix.version_index] - matrix.thresholds[None, :]
-        fit, estimate, X0, X1 = dense_design_reference(
+        fit, estimate, arms = dense_design_reference(
             dense, matrix.focal_index, treatments, outcomes, config, r
         )
         assert surface.fit.theta.tobytes() == fit.theta.tobytes()
         assert surface.fit.cov.tobytes() == fit.cov.tobytes()
         assert estimate_effect(surface, config, r) == estimate
-        # The designs evaluated on the fitted rows are the dense ones, bit for bit.
-        preds = arm_predictions(surface)
-        assert preds.X0.shape == X0.shape and preds.X0.tobytes() == X0.tobytes()
-        assert preds.X1.shape == X1.shape and preds.X1.tobytes() == X1.tobytes()
+        # Both arms' designs, means and link derivatives are the dense ones, bit for bit.
+        for name, want in arms.items():
+            got = getattr(surface, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
 
 
 def test_nonfocal_version_counts_once_whatever_its_thresholds():
@@ -723,19 +723,21 @@ def test_nonfocal_version_counts_once_whatever_its_thresholds():
     # The dense design residualized every column, which weighted version 0
     # three times and moved the retained component.
     dense = matrix.raw[:, matrix.version_index] - matrix.thresholds[None, :]
-    _, weighted, _, _ = dense_design_reference(dense, 4, treatments, outcomes, config, 0.0)
+    _, weighted, _ = dense_design_reference(dense, 4, treatments, outcomes, config, 0.0)
     assert abs(weighted.beta_hat - estimate.beta_hat) > 1e-3
 
 
 class TestFittedRowsHandoff:
-    def test_terms_are_read_only(self):
+    def test_every_array_is_read_only(self):
         matrix, treatments, outcomes = versioned_matrix(7, [0, 1], [0.1, 0.2])
         surface = fit_outcome_surface(matrix, treatments, outcomes, EstimatorConfig())
-        assert len(surface.terms) == 4 and surface.terms[3].shape[1] == 1
-        for values in surface.terms:
+        arrays = [v for v in vars(surface).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 9
+        for values in arrays:
             assert values.shape[0] == matrix.n_patients
+        for values in (*arrays, surface.fit.theta, surface.fit.cov):
             with pytest.raises(ValueError, match="read-only"):
-                values[...] = 0.0
+                values[...] = 0
 
 
 # Last in the module: these draw from the shared generator, and placing them

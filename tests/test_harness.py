@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -8,10 +9,13 @@ from adaptrd import estimator
 
 from adaptrd.adaptation import (
     FixedThreshold,
+    NntTargetThreshold,
     NoModelUpdate,
     RateTargetThreshold,
     RecalibrateModel,
+    nnt_to_cohens_d,
 )
+from adaptrd.config import parse_config, preset_payload
 from adaptrd.errors import AdaptRdError, ConfigError, NonConvergenceError
 from adaptrd.estimator import COMPARATOR_PREDICTORS, EstimatorConfig, fit_outcome_surface
 from adaptrd.harness import (
@@ -92,6 +96,17 @@ class TestConfigValidation:
     def test_invalid_scenario_id(self):
         with pytest.raises(ConfigError, match="scenario id"):
             scenario_preset(9)
+
+    def test_dict_override_is_parsed_as_a_config_section(self):
+        # Stored unparsed, this dict ran no threshold update at all.
+        strategy = {"kind": "nnt_target", "nnt": 3, "smoothing": 0.5}
+        cfg = scenario_preset(5, seed=1, n_patients=600, threshold_strategy=strategy)
+        payload = preset_payload("scenario5")
+        payload.update(seed=1, threshold_strategy=strategy)
+        assert cfg == dataclasses.replace(parse_config(payload), n_patients=600)
+        assert isinstance(cfg.threshold_strategy, NntTargetThreshold)
+        with pytest.raises(ConfigError, match="threshold_strategy must be one of"):
+            dataclasses.replace(cfg, threshold_strategy=strategy)
 
 
 class TestRunScenario:
@@ -234,16 +249,16 @@ class TestRunScenario:
         target = f" target_d={nnt_to_cohens_d(calls[0])!r} "
         assert all(target in e.detail for e in updates)
 
-    def test_nnt_without_a_d_skips_each_update_with_the_reason(self):
-        import dataclasses
-
+    def test_nnt_just_above_one_updates_with_a_finite_d(self):
         strategy = dataclasses.replace(small_preset(3).threshold_strategy, nnt=1.0 + 1e-13)
         trial = run_scenario(small_preset(3, threshold_strategy=strategy))
         thresholds = [e for e in trial.events if e.kind.startswith("threshold")]
         assert len(thresholds) == 3
+        d = nnt_to_cohens_d(1.0 + 1e-13)
+        assert math.isfinite(d) and d > 10.0
         for e in thresholds:
-            assert e.kind == "threshold_skipped"
-            assert e.detail == f"NNT {1.0 + 1e-13} implies d above the search window"
+            assert e.kind == "threshold_update"
+            assert f" target_d={d!r} " in e.detail
 
     def test_rows_after_m_do_not_reach_the_first_m(self, tmp_path):
         # Each new model version scores the whole cohort when it is created,

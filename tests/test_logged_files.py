@@ -428,7 +428,7 @@ def test_trial_reader_names_the_line_of_a_bad_row(tmp_path):
 @pytest.mark.parametrize(
     "column, value",
     [("sex", "F"), ("sex", "Female"), ("race", "hispanic"), ("race", "asian"),
-     ("smoker", "yes"), ("diabetes", "2"), ("bp_treated", "true")],
+     ("smoker", "yes"), ("diabetes", "2"), ("bp_treated", "true"), ("treatment", "2")],
 )
 def test_trial_reader_rejects_unknown_categories(tmp_path, column, value):
     # Before this check, "hispanic" read as "hispa", and "F" or "yes" as male or false.

@@ -391,28 +391,27 @@ class TestResidualize:
     def test_exact_linear_dependence_gives_zero(self):
         x = rng.standard_normal(100)
         res = residualize(2.0 * x + 3.0, x)
-        assert np.max(np.abs(res.residuals)) < 1e-10
-        assert res.slope == pytest.approx(2.0)
-        assert res.intercept == pytest.approx(3.0)
+        assert np.max(np.abs(res)) < 1e-10
+        assert abs(res @ x) < 1e-8
 
     def test_orthogonal_zero_mean_column_unchanged(self):
         x = np.tile([1.0, -1.0], 50)
         col = np.tile([1.0, 1.0, -1.0, -1.0], 25)  # orthogonal to x, zero mean
         res = residualize(col, x)
-        assert np.max(np.abs(res.residuals - col)) < 1e-10
+        assert np.max(np.abs(res - col)) < 1e-10
 
     def test_residuals_orthogonal_to_regressor(self):
         x = rng.standard_normal(500)
         col = rng.standard_normal(500)
         res = residualize(col, x)
-        assert abs(res.residuals @ x) < 1e-8
-        assert abs(res.residuals.sum()) < 1e-8
+        assert abs(res @ x) < 1e-8
+        assert abs(res.sum()) < 1e-8
 
     def test_constant_regressor_centres_the_column(self):
         col = rng.standard_normal(50)
         res = residualize(col, np.full(50, 2.0))
-        assert res.slope == 0.0
-        assert np.allclose(res.residuals, col - col.mean())
+        assert abs(res.sum()) < 1e-12
+        assert np.allclose(res, col - col.mean())
 
 
 class TestPca:
